@@ -27,13 +27,12 @@ from .errors import (
 )
 from .fock import (
     descended_operators,
-    gram_matrix,
     p2_kernel,
-    quotient_gram,
     quotient_sector,
     sector_report,
+    sector_spectrum,
 )
-from .linalg import hermitian_spectrum, max_abs, resolve_eps
+from .linalg import max_abs, resolve_eps
 from .operators import StatisticsSystem, dump_system, load_system, validate_system
 from .wick import evaluation_blocks, format_expression, normal_order, parse_expression
 
@@ -101,11 +100,8 @@ def _cmd_gram(args) -> int:
     system = _resolve_system(args)
     eps = resolve_eps(args.eps)
     report = sector_report(system, args.sector, quotient=args.quotient, eps=eps)
-    if args.quotient:
-        mat = quotient_gram(system, args.sector, eps).mat
-    else:
-        mat = gram_matrix(system, args.sector).mat
-    spectrum = [float(v) for v in hermitian_spectrum(mat, eps)] if mat.size else []
+    spectrum = [float(v) for v in
+                sector_spectrum(system, args.sector, eps, quotient=args.quotient)]
     payload = dict(report)
     payload["label"] = system.label
     payload["spectrum"] = spectrum

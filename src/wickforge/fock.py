@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import NoBraid, NotWellDefined, SizeLimit
 from .linalg import (
+    check_hermitian,
     dagger,
     eye,
     hermitian_spectrum,
@@ -31,7 +32,7 @@ from .linalg import (
     resolve_eps,
     span_and_complement,
 )
-from .operators import StatisticsSystem, build_ttilde
+from .operators import StatisticsSystem, build_ttilde, is_graded
 
 #: Hard ceiling on sector dimension N^n; exceeding it raises SizeLimit.
 DEFAULT_SECTOR_CAP = 100_000
@@ -234,6 +235,67 @@ def quotient_gram(system: StatisticsSystem, n: int,
     return GramMatrix(n=n, mat=dagger(q) @ full @ q, quotient=True)
 
 
+def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
+    """Word offsets of sector n grouped by letter content, ascending in each group.
+
+    Groups are ordered by their content; together they partition
+    ``range(n_species**n)``.
+    """
+    key = ("blocks", n_species, n)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
+    offsets = np.arange(n_species**n)
+    letters = offsets[:, None] // n_species ** np.arange(n) % n_species
+    _, content = np.unique(np.sort(letters, axis=1), axis=0, return_inverse=True)
+    content = content.reshape(-1)
+    order = np.argsort(content, kind="stable")
+    starts = np.flatnonzero(np.diff(content[order])) + 1
+    blocks = tuple(np.split(order, starts))
+    for block in blocks:
+        block.setflags(write=False)
+    return _cache_put(key, blocks)
+
+
+def sector_spectrum(
+    system: StatisticsSystem,
+    n: int,
+    eps: float | None = None,
+    quotient: bool = False,
+    cap: int | None = None,
+) -> np.ndarray:
+    """Ascending eigenvalues of the (possibly quotient) Gram matrix of sector n.
+
+    The one decomposition of a sector, cached, from which every Gram verdict
+    is derived.  Hermiticity is checked once over the whole matrix (raising
+    :class:`NotHermitian`).  When T is graded (:func:`is_graded`) the full
+    Gram matrix is block-diagonal over letter content and each block is
+    diagonalized on its own; ungraded systems and quotient Grams form a
+    single block.
+    """
+    eps = resolve_eps(eps)
+    _check_cap(system.dim**n, cap)
+    key = ("spectrum", system.content_key, n, eps, quotient)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
+    if quotient:
+        mat = quotient_gram(system, n, eps=eps, cap=cap).mat
+    else:
+        mat = gram_matrix(system, n, cap).mat
+    if not quotient and is_graded(system.cross):
+        check_hermitian(mat, eps)
+        # Hermitian parts of the diagonal blocks: exactly Hermitian, so each
+        # passes the check in hermitian_spectrum at its own scale.
+        subs = (mat[np.ix_(block, block)] for block in content_blocks(system.dim, n))
+        blocks = [(sub + dagger(sub)) / 2 for sub in subs]
+    else:
+        blocks = [mat]
+    spectrum = np.sort(np.concatenate([hermitian_spectrum(b, eps) for b in blocks]))
+    spectrum.setflags(write=False)
+    return _cache_put(key, spectrum)
+
+
 def positivity_report(
     system: StatisticsSystem,
     n: int,
@@ -241,26 +303,30 @@ def positivity_report(
     quotient: bool = False,
     cap: int | None = None,
 ) -> PositivityReport:
-    """Spectrum-based positivity verdict for the (possibly quotient) Gram."""
+    """Positivity verdict for the (possibly quotient) Gram, from its spectrum.
+
+    With ``cutoff = eps * max(1, max|lambda|)``: the kernel dimension counts
+    eigenvalues with ``|lambda| <= cutoff`` (the rank rule of
+    :func:`~wickforge.linalg.kernel_basis`, as the singular values of a
+    Hermitian matrix are ``|lambda|``); the matrix is positive semidefinite
+    when ``min_eig >= -cutoff`` and positive definite when, in addition, the
+    kernel is trivial.
+    """
     eps = resolve_eps(eps)
-    if quotient:
-        gram = quotient_gram(system, n, eps=eps, cap=cap)
-    else:
-        gram = gram_matrix(system, n, cap=cap)
-    mat = gram.mat
-    if mat.shape[0] == 0:
+    spectrum = sector_spectrum(system, n, eps=eps, quotient=quotient, cap=cap)
+    if spectrum.size == 0:
         return PositivityReport(n=n, min_eig=None, kernel_dim=0,
                                 positive_semidefinite=True, positive_definite=True)
-    spectrum = hermitian_spectrum(mat, eps)
     min_eig = float(spectrum[0])
-    kdim = kernel_basis(mat, eps).shape[1]
-    psd = min_eig >= -eps
+    cutoff = eps * max(1.0, -min_eig, float(spectrum[-1]))
+    kdim = int(np.count_nonzero(np.abs(spectrum) <= cutoff))
+    psd = min_eig >= -cutoff
     return PositivityReport(
         n=n,
         min_eig=min_eig,
         kernel_dim=kdim,
         positive_semidefinite=psd,
-        positive_definite=psd and kdim == 0 and min_eig > eps,
+        positive_definite=psd and kdim == 0,
     )
 
 
@@ -381,9 +447,6 @@ def sector_report(
     qdim = None
     if quotient:
         qdim = quotient_sector(system, n, eps=eps, cap=cap).quotient.dim
-    gram = (quotient_gram(system, n, eps, cap) if quotient
-            else gram_matrix(system, n, cap))
-    herm = max_abs(gram.mat - dagger(gram.mat)) <= eps
     return {
         "sector": n,
         "dim": system.dim**n,
@@ -391,7 +454,8 @@ def sector_report(
         "min_eig": report.min_eig,
         "kernel_dim": report.kernel_dim,
         "checks": {
-            "gram_hermitian": herm,
+            # The spectrum behind the report raises NotHermitian otherwise.
+            "gram_hermitian": True,
             "positive_semidefinite": report.positive_semidefinite,
             "positive_definite": report.positive_definite,
         },

@@ -60,22 +60,35 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def hermitian_spectrum(a: np.ndarray, eps: float | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Raises :class:`NotHermitian` when ``a`` deviates from its conjugate
-    transpose by more than ``eps`` in any entry; otherwise diagonalizes the
+    Raises :class:`NotHermitian` (see :func:`check_hermitian`) unless ``a`` is
+    Hermitian to within the relative tolerance; otherwise diagonalizes the
     Hermitian part ``(a + dagger(a)) / 2``.
     """
     eps = resolve_eps(eps)
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is not square: shape {m.shape}")
-    residual = max_abs(m - dagger(m))
-    if residual > eps:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {residual:.3e} (eps={eps:.3e})"
-        )
+    check_hermitian(m, eps)
     if m.shape[0] == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh((m + dagger(m)) / 2)
+
+
+def check_hermitian(a: np.ndarray, eps: float | None = None) -> None:
+    """Raise :class:`NotHermitian` unless ``a`` is square and Hermitian.
+
+    The entrywise residual ``|a - dagger(a)|`` may reach ``eps * max(1,
+    max|a|)``: the same relative rule as the rank cutoff, so that matrices
+    whose entries grow large (Gram matrices grow like n!) are judged by their
+    rounding, not by their scale.
+    """
+    eps = resolve_eps(eps)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotHermitian(f"matrix is not square: shape {a.shape}")
+    residual = max_abs(a - dagger(a))
+    tol = eps * max(1.0, max_abs(a))
+    if residual > tol:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {residual:.3e} (tolerance {tol:.3e})"
+        )
 
 
 def operator_norm(a: np.ndarray) -> float:

@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -164,6 +165,20 @@ def build_ttilde(cross: CrossOperator | np.ndarray) -> np.ndarray:
     n = t4.shape[0]
     # new[k,l,i,j] = T^{ki}_{lj} = t4[l,j,k,i]
     return t4.transpose(2, 0, 3, 1).reshape(n * n, n * n)
+
+
+def is_graded(cross: CrossOperator) -> bool:
+    """Whether annihilation preserves the grading of words by letter content.
+
+    True when every nonzero ``T^{ij}_{kl}`` has ``{k, i} = {j, l}`` as
+    multisets, that is ``(k, l) = (j, i)`` or ``i = j`` and ``k = l``.  Then
+    ``a_i`` lowers the letter content by exactly ``e_i``, and every sector Gram
+    matrix is block-diagonal over letter multisets.  Presets and twisted CCR
+    are graded; a generic change of basis destroys the grading.
+    """
+    k, l, i, j = np.indices(cross.tensor().shape)
+    allowed = ((k == j) & (l == i)) | ((i == j) & (k == l))
+    return not np.any(cross.tensor()[~allowed])
 
 
 def check_star(cross: CrossOperator, eps: float | None = None) -> tuple[bool, float]:
@@ -358,24 +373,61 @@ def system_to_dict(system: StatisticsSystem) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _entry_rows(rows, what: str) -> list[tuple]:
+    """``(i, j, k, l, value)`` tuples from ``[i, j, k, l, re, im]`` rows."""
+    if not isinstance(rows, list):
+        raise ValueError(
+            f"malformed operator file: {what!r} must be a list of "
+            f"[i, j, k, l, re, im] rows, got {type(rows).__name__}"
+        )
+    entries = []
+    for row in rows:
+        malformed = ValueError(
+            f"malformed operator file: {what} row {row!r} is not "
+            f"[i, j, k, l, re, im] with integer indices and real numbers"
+        )
+        if not (isinstance(row, list) and len(row) == 6
+                and all(_is_int(x) for x in row[:4])
+                and all(_is_real(x) for x in row[4:])):
+            raise malformed
+        try:
+            entries.append((*row[:4], complex(row[4], row[5])))
+        except OverflowError:  # integers beyond the float range
+            raise malformed from None
+    return entries
+
+
 def system_from_dict(data: dict) -> StatisticsSystem:
-    """Parse the operator-file schema; rejects duplicates and bad indices."""
-    try:
-        dim = int(data["dim"])
-        cross_rows = data["cross"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed operator file: {exc}") from exc
-    cross = CrossOperator.from_entries(
-        dim, [(int(r[0]), int(r[1]), int(r[2]), int(r[3]), complex(r[4], r[5]))
-              for r in cross_rows]
-    )
+    """Parse the operator-file schema.
+
+    Raises ``ValueError`` for anything that does not match it: a missing or
+    non-integer ``dim``, entry lists that are not lists of six-number rows,
+    non-integer indices, non-numeric coefficients, indices out of range and
+    duplicate index quadruples.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("malformed operator file: top level must be a JSON object")
+    for key in ("dim", "cross"):
+        if key not in data:
+            raise ValueError(f"malformed operator file: missing {key!r}")
+    dim = data["dim"]
+    if not _is_int(dim) or dim < 1:
+        raise ValueError(
+            f"malformed operator file: 'dim' must be a positive integer, got {dim!r}"
+        )
+    cross = CrossOperator.from_entries(dim, _entry_rows(data["cross"], "cross"))
     braid_rows = data.get("braid")
     braid = None
     if braid_rows is not None:
-        braid = BraidOperator.from_entries(
-            dim, [(int(r[0]), int(r[1]), int(r[2]), int(r[3]), complex(r[4], r[5]))
-                  for r in braid_rows]
-        )
+        braid = BraidOperator.from_entries(dim, _entry_rows(braid_rows, "braid"))
     return StatisticsSystem(cross=cross, braid=braid, label=str(data.get("label", "")))
 
 

@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from wickforge.cli import main
 from wickforge.operators import dump_system, system_to_dict
 from wickforge.catalog import make_preset
 from wickforge.operators import BraidOperator, CrossOperator, StatisticsSystem, flip_matrix
+
+from conftest import haar_rotated
 
 
 @pytest.fixture
@@ -166,3 +169,104 @@ class TestEpsPlumbing:
         monkeypatch.setenv("WICKFORGE_EPS", "0.6")
         code, _, _ = run(capsys, ["validate", "--file", corrupted_file])
         assert code == 0
+
+
+class TestLargeSectorTolerances:
+    """Gram entries grow like n!: verdicts must hold at the scale of the matrix.
+
+    A phase system at N = 2 has a PBW basis of ordered monomials, so its
+    sector-10 Gram kernel has dimension 2^10 - 11 = 1013.  Its largest
+    eigenvalue is about 3.6e6, where an absolute tolerance misreads rounding
+    as negative eigenvalues or as a non-Hermitian matrix.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graded", "rotated"])
+    def test_phase_sector_ten(self, capsys, tmp_path, seed, rotated):
+        rng = np.random.default_rng(seed)
+        system = make_preset("phase", 2, phi=rng.uniform(-np.pi, np.pi))
+        if rotated:
+            system = haar_rotated(system, rng)
+        path = tmp_path / "phase.json"
+        path.write_text(dump_system(system))
+        code, out, err = run(capsys, ["gram", "--file", str(path), "--sector", "10",
+                                      "--json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["kernel_dim"] == 1013
+        assert payload["checks"] == {"gram_hermitian": True,
+                                     "positive_semidefinite": True,
+                                     "positive_definite": False}
+
+
+#: JSON values that are neither integers nor real numbers.
+NOT_NUMBERS = (None, "x", True, [1], {"re": 1})
+
+
+def _mutated(rng: np.random.Generator, data: dict) -> dict | list | str | None:
+    """A copy of a valid operator-file payload with one schema violation."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    data = json.loads(json.dumps(data))
+    field = "braid" if data["braid"] is not None and rng.random() < 0.5 else "cross"
+    rows = data[field]
+    row = pick(rows)
+    pos = int(rng.integers(6))
+    kind = int(rng.integers(11))
+    if kind == 0:
+        del row[pos]                                   # five-field row
+    elif kind == 1:
+        row.append(0.0)                                # seven-field row
+    elif kind == 2:
+        row[pos] = pick(NOT_NUMBERS + ((1.5,) if pos < 4 else ()))
+    elif kind == 3:
+        row[int(rng.integers(4))] = pick((0, data["dim"] + 1))
+    elif kind == 4:
+        rows.append(list(row))                         # duplicate index quadruple
+    elif kind == 5:
+        data[field] = pick((5, "x", {}, True))
+    elif kind == 6:
+        rows[int(rng.integers(len(rows)))] = pick((7, "row", None))
+    elif kind == 7:
+        data["dim"] = pick(("two", None, 0, -1, 1.5, [2], True))
+    elif kind == 8:
+        del data[pick(("dim", "cross"))]
+    elif kind == 9:
+        return pick(([], 5, "x", None))                # not a JSON object
+    else:
+        text = json.dumps(data)
+        return text[: int(rng.integers(1, len(text)))]  # truncated JSON text
+    return data
+
+
+class TestMalformedOperatorFiles:
+    @pytest.mark.parametrize("row", [
+        [1, 1, 1, 1, 1.0],                 # five fields
+        [1, 1, 1, 1, "x", 0.0],            # string coefficient
+    ])
+    def test_reported_rows_exit_two(self, capsys, tmp_path, row):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "cross": [row], "braid": None}))
+        code, out, err = run(capsys, ["validate", "--file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed operator file")
+
+    def test_scalar_braid_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "cross": [], "braid": 5}))
+        code, _, err = run(capsys, ["validate", "--file", str(path)])
+        assert code == 2
+        assert err.startswith("error: malformed operator file")
+
+    def test_fuzzed_files_exit_two_with_one_line(self, capsys, tmp_path):
+        rng = np.random.default_rng(2024)
+        valid = system_to_dict(make_preset("phase", 2, phi=0.7))
+        path = tmp_path / "fuzz.json"
+        for trial in range(300):
+            mutated = _mutated(rng, valid)
+            path.write_text(mutated if isinstance(mutated, str) else json.dumps(mutated))
+            code, out, err = run(capsys, ["validate", "--file", str(path)])
+            assert code == 2, (trial, mutated, err)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, (trial, err)

@@ -5,6 +5,7 @@ from wickforge.catalog import make_preset
 from wickforge.errors import NoBraid, NotWellDefined, SizeLimit
 from wickforge.fock import (
     annihilation_matrix,
+    content_blocks,
     creation_matrix,
     descended_operators,
     gram_matrix,
@@ -15,6 +16,7 @@ from wickforge.fock import (
     quotient_sector,
     sector_basis,
     sector_report,
+    sector_spectrum,
     word_index,
 )
 from wickforge.linalg import dagger, kernel_basis, max_abs
@@ -23,9 +25,10 @@ from wickforge.operators import (
     CrossOperator,
     StatisticsSystem,
     flip_matrix,
+    is_graded,
 )
 
-from conftest import acceptance_systems
+from conftest import acceptance_systems, haar_rotated, twisted_ccr
 from oracles import perm_gram, q_factorial
 
 EPS = 1e-9
@@ -179,6 +182,73 @@ class TestPositivity:
                 if report.positive_definite:
                     assert report.positive_semidefinite
                     assert report.kernel_dim == 0
+
+
+def graded_systems(n_species: int) -> list[StatisticsSystem]:
+    return ([system for system, _ in acceptance_systems(n_species)]
+            + [twisted_ccr(n_species, 0.6)])
+
+
+class TestGrading:
+    @pytest.mark.parametrize("n_species", [1, 2, 3])
+    def test_presets_and_twisted_ccr_are_graded(self, n_species):
+        for system in graded_systems(n_species):
+            assert is_graded(system.cross), system.label
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_haar_rotation_breaks_the_grading(self, n_species):
+        rng = np.random.default_rng(7)
+        for system in graded_systems(n_species):
+            if np.any(system.cross.mat):  # T = 0 stays graded in every basis
+                assert not is_graded(haar_rotated(system, rng).cross), system.label
+
+    @pytest.mark.parametrize("n_species,degree", [(1, 3), (2, 0), (2, 4), (3, 3)])
+    def test_blocks_group_words_by_sorted_letters(self, n_species, degree):
+        words = sector_basis(n_species, degree).basis
+        blocks = content_blocks(n_species, degree)
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(len(words)))
+        contents = [{tuple(sorted(words[idx])) for idx in block} for block in blocks]
+        assert all(len(c) == 1 for c in contents)
+        assert len(set.union(*contents)) == len(blocks)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_off_block_gram_entries_are_exactly_zero(self, n_species):
+        for system in graded_systems(n_species):
+            for degree in range(5):
+                gram = gram_matrix(system, degree).mat
+                same_content = np.zeros(gram.shape, dtype=bool)
+                for block in content_blocks(n_species, degree):
+                    same_content[np.ix_(block, block)] = True
+                assert np.all(gram[~same_content] == 0), (system.label, degree)
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 6), (3, 5)])
+    def test_blockwise_spectrum_matches_full_eigvalsh(self, fresh_cache, n_species,
+                                                      max_degree):
+        for system in graded_systems(n_species):
+            for degree in range(max_degree + 1):
+                full = np.linalg.eigvalsh(gram_matrix(system, degree).mat)
+                scale = max(1.0, np.abs(full).max())
+                assert np.allclose(sector_spectrum(system, degree), full,
+                                   rtol=0, atol=EPS * scale), (system.label, degree)
+
+    def test_twisted_ccr_kernel_has_pbw_codimension(self, twisted2):
+        # Ordered monomials c(1)^a c(2)^b span the quotient: n + 1 per degree.
+        for degree in range(7):
+            report = positivity_report(twisted2, degree)
+            assert report.positive_semidefinite, degree
+            assert report.kernel_dim == 2**degree - (degree + 1), degree
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graded", "rotated"])
+    def test_kernel_dim_matches_svd_kernel(self, rotated):
+        rng = np.random.default_rng(3)
+        for system in graded_systems(2):
+            if rotated:
+                system = haar_rotated(system, rng)
+            for degree in range(6):
+                gram = gram_matrix(system, degree).mat
+                report = positivity_report(system, degree)
+                assert report.kernel_dim == kernel_basis(gram).shape[1], (
+                    system.label, degree)
 
 
 class TestP2Kernel:

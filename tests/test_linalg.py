@@ -92,6 +92,14 @@ class TestHermitianSpectrum:
         with pytest.raises(NotHermitian):
             hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_tolerance_scales_with_the_entries(self):
+        big = 1e6 * (np.eye(4) + flip_matrix(2)).astype(complex)
+        big[0, 1] += 1e-5  # relative deviation 5e-12
+        assert np.allclose(hermitian_spectrum(big) / 1e6, [0, 2, 2, 2], atol=EPS)
+        big[0, 1] += 1e-2  # relative deviation 5e-9
+        with pytest.raises(NotHermitian):
+            hermitian_spectrum(big)
+
     def test_unitary_conjugation_recovers_diagonal(self):
         rng = np.random.default_rng(11)
         diag = np.sort(rng.standard_normal(4))

@@ -279,6 +279,23 @@ class TestOperatorFile:
         with pytest.raises(ValueError, match="out of range"):
             system_from_dict(data)
 
+    @pytest.mark.parametrize("change", [
+        {"cross": [[1, 1, 1, 1, 1.0]]},
+        {"cross": [[1, 1, 1, 1, "x", 0.0]]},
+        {"cross": [[1, 1, True, 1, 1.0, 0.0]]},
+        {"cross": [[1, 1, 1.5, 1, 1.0, 0.0]]},
+        {"cross": {"1": [1, 1, 1, 1, 1.0, 0.0]}},
+        {"braid": 5},
+        {"dim": "2"},
+        {"dim": 0},
+    ], ids=["five-fields", "string-coeff", "bool-index", "float-index",
+            "dict-rows", "scalar-braid", "string-dim", "zero-dim"])
+    def test_schema_violations_raise_value_error(self, change):
+        data = {"dim": 2, "cross": [[1, 1, 1, 1, 1.0, 0.0]], "braid": None,
+                "label": "bad", **change}
+        with pytest.raises(ValueError, match="malformed operator file"):
+            system_from_dict(data)
+
     def test_omitted_entries_are_zero(self):
         data = {"dim": 2, "cross": [], "braid": None, "label": "zero"}
         system = system_from_dict(data)
