@@ -140,18 +140,31 @@ def sector_basis(n_species: int, n: int, cap: int | None = None) -> FockSector:
     return FockSector(n=n, dim_full=dim, basis=words)
 
 
+def creation_rows(
+    system: StatisticsSystem, i: int, n: int, cap: int | None = None
+) -> slice:
+    """Rows of sector n+1 that w -> x^i (x) w fills from sector n: one row block.
+
+    Creation prepends the letter i, so it places sector n, unchanged, in row
+    block i of sector n+1.
+    """
+    _check_species(system, i)
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    _check_cap(system.dim ** (n + 1), cap)
+    size = system.dim**n
+    return slice((i - 1) * size, i * size)
+
+
 def creation_matrix(
     system: StatisticsSystem, i: int, n: int, cap: int | None = None
 ) -> np.ndarray:
     """Matrix of w -> x^i (x) w from sector n to sector n+1."""
-    _check_species(system, i)
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    n_sp = system.dim
-    _check_cap(n_sp ** (n + 1), cap)
-    unit = np.zeros((n_sp, 1), dtype=complex)
-    unit[i - 1, 0] = 1.0
-    return kron(unit, eye(n_sp**n))
+    rows = creation_rows(system, i, n, cap)
+    size = system.dim**n
+    mat = np.zeros((system.dim * size, size), dtype=complex)
+    mat[rows] = eye(size)
+    return mat
 
 
 def _annihilation_level(system: StatisticsSystem, m: int) -> tuple[np.ndarray, ...]:

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExpressionSyntaxError, SpeciesOutOfRange
-from .fock import annihilation_matrix, creation_matrix
-from .linalg import DEFAULT_EPS, eye, max_abs, resolve_eps
+from .fock import annihilation_matrix, creation_rows
+from .linalg import DEFAULT_EPS, max_abs, resolve_eps
 from .operators import CheckResult, StatisticsSystem, ValidationReport
 
 
@@ -59,6 +59,13 @@ class OperatorExpression:
             if abs(coeff) > DEFAULT_EPS:
                 pruned[tuple(word)] = coeff
         self._terms = pruned
+
+    @classmethod
+    def _trusted(cls, terms: dict[GenWord, complex]):
+        """Wrap complex terms that the caller has already pruned and checked."""
+        expr = cls.__new__(cls)
+        expr._terms = terms
+        return expr
 
     @property
     def terms(self) -> dict[GenWord, complex]:
@@ -147,7 +154,11 @@ def _fmt_coeff(c: complex) -> str:
 
 
 def format_expression(expr: OperatorExpression) -> str:
-    """Deterministic text form; terms sorted by word, parseable back exactly."""
+    """Deterministic text form; terms sorted by word.
+
+    Parses back exactly, except terms with ``|coeff| <= DEFAULT_EPS``, which
+    the parser drops.
+    """
     if not expr._terms:
         return "0 1"
     pieces = []
@@ -354,40 +365,86 @@ def _check_word_species(word: GenWord, n_species: int) -> None:
             )
 
 
+def _rewrite_table(system: StatisticsSystem) -> dict[str, list[tuple[str, complex, float]]]:
+    """The rewrite rule of every pair ``a(i) c(j)``, keyed by its two-letter code.
+
+    Each right-hand side is a list of ``(code, coeff, |coeff|)``: the empty
+    code for ``delta_ij`` and ``c(k) a(l)`` for each nonzero ``T^{ij}_{kl}``.
+    """
+    n_sp = system.dim
+    t4 = system.cross.tensor()
+    table: dict[str, list[tuple[str, complex, float]]] = {}
+    for i0 in range(n_sp):
+        for j0 in range(n_sp):
+            rhs = [("", 1.0 + 0.0j, 1.0)] if i0 == j0 else []
+            for k0, l0 in zip(*np.nonzero(t4[:, :, i0, j0])):
+                coeff = complex(t4[k0, l0, i0, j0])
+                rhs.append((chr(k0 + 1) + chr(n_sp + l0 + 1), coeff, abs(coeff)))
+            table[chr(n_sp + i0 + 1) + chr(j0 + 1)] = rhs
+    return table
+
+
 def normal_order(expr: OperatorExpression, system: StatisticsSystem) -> NormalForm:
     """Rewrite to creators-first form, preserving the operator on every sector.
 
-    Leftmost-innermost strategy; each rewrite chain is bounded by the squared
-    word length (the annihilator-creator inversion count strictly drops).
+    A word's inversion count is its number of annihilator-before-creator
+    pairs.  Every rewrite of a word's leftmost pair lowers it: the swap to
+    ``c(k) a(l)`` by one, the delta term by at least one.  So the rewriting
+    runs in rounds from the highest inversion count down, one round per
+    count: each round rewrites the leftmost pair of every pending word with
+    that count, and all paths into a word have merged before its round.  The
+    work follows distinct words, not rewrite paths, and the count-0 words
+    left at the end are the normal form.
+
+    Beside each coefficient the rounds carry its mass, the sum of the
+    absolute values of the path contributions merged into it.  A word is
+    dropped as cancellation noise when ``|coeff| <= DEFAULT_EPS * mass``; a
+    small coefficient reached without cancellation is kept.
     """
-    t4 = system.cross.tensor()
     n_sp = system.dim
-    out: dict[GenWord, complex] = {}
+    # Words are coded as strings: c(s) is chr(s) and a(s) is chr(n_sp + s).
+    gens = [None] + [Generator(kind, s) for kind in "ca" for s in range(1, n_sp + 1)]
+    code = {gen: chr(idx) for idx, gen in enumerate(gens[1:], 1)}
+    last_creator = chr(n_sp)
+    leftmost_pair = re.compile(
+        f"[{re.escape(chr(n_sp + 1))}-{re.escape(chr(2 * n_sp))}]"
+        f"[{re.escape(chr(1))}-{re.escape(last_creator)}]"
+    ).search
+
+    def inversions(w: str) -> int:
+        count = annihilators = 0
+        for ch in w:
+            if ch > last_creator:
+                annihilators += 1
+            else:
+                count += annihilators
+        return count
+
+    table = _rewrite_table(system)
+    rounds: dict[int, dict[str, tuple[complex, float]]] = {}
     for word, coeff in expr._terms.items():
         _check_word_species(word, n_sp)
-        bound = max(1, len(word)) ** 2
-        pending: list[tuple[GenWord, complex, int]] = [(word, coeff, 0)]
-        while pending:
-            w, c, depth = pending.pop()
-            pos = _first_inversion(w)
-            if pos is None:
-                out[w] = out.get(w, 0.0) + c
-                continue
-            if depth >= bound:
-                raise RuntimeError(
-                    f"normal ordering exceeded {bound} steps on {w}"
-                )
-            i, j = w[pos].species, w[pos + 1].species
+        w = "".join(code[g] for g in word)
+        _merge(rounds.setdefault(inversions(w), {}), w, coeff, abs(coeff))
+    for level in range(max(rounds, default=0), 0, -1):
+        swapped = rounds.setdefault(level - 1, {})
+        for w, (c, m) in rounds.pop(level, {}).items():
+            pos = leftmost_pair(w).start()
             head, tail = w[:pos], w[pos + 2:]
-            if i == j:
-                pending.append((head + tail, c, depth + 1))
-            for k0 in range(n_sp):
-                for l0 in range(n_sp):
-                    tcoeff = t4[k0, l0, i - 1, j - 1]
-                    if tcoeff != 0:
-                        mid = (Generator("c", k0 + 1), Generator("a", l0 + 1))
-                        pending.append((head + mid + tail, c * tcoeff, depth + 1))
-    return NormalForm(out)
+            for mid, t, t_abs in table[w[pos:pos + 2]]:
+                child = head + mid + tail
+                acc = swapped if mid else rounds.setdefault(inversions(child), {})
+                _merge(acc, child, c * t, m * t_abs)
+    return NormalForm._trusted({
+        tuple(gens[ord(ch)] for ch in w): c
+        for w, (c, m) in rounds.get(0, {}).items()
+        if abs(c) > DEFAULT_EPS * m
+    })
+
+
+def _merge(acc: dict[str, tuple[complex, float]], w: str, c: complex, m: float) -> None:
+    prev = acc.get(w)
+    acc[w] = (c, m) if prev is None else (prev[0] + c, prev[1] + m)
 
 
 def wick_product(
@@ -424,51 +481,68 @@ def evaluation_blocks(
     Factors compose right to left.  Terms that push an intermediate degree
     below zero annihilate and contribute zeros; terms whose final degree is
     negative are dropped entirely.
+
+    A term's trailing annihilators act first, as one product that is computed
+    once per call: the terms ``c_w a_v`` of a normal form that share ``a_v``
+    reuse it.  Creation only moves the running block to a row block of the
+    next sector (:func:`~wickforge.fock.creation_rows`); an annihilator after
+    it reads the matching columns of its matrix, and the term is added in
+    place to the rows of its target block.
     """
     n_sp = system.dim
     dim_in = n_sp**n
     blocks: dict[int, np.ndarray] = {}
+    products: dict[GenWord, np.ndarray | None] = {}
+
+    def trailing_product(suffix: GenWord) -> np.ndarray | None:
+        """Matrix of a nonempty annihilator-only suffix; None if it meets the vacuum."""
+        if suffix not in products:
+            rest = suffix[1:]
+            below = trailing_product(rest) if rest else None
+            degree = n - len(rest)
+            if degree < 1 or (rest and below is None):
+                products[suffix] = None
+            else:
+                mat = annihilation_matrix(system, suffix[0].species, degree, cap)
+                products[suffix] = mat @ below if rest else mat
+        return products[suffix]
+
     for word, coeff in expr._terms.items():
         _check_word_species(word, n_sp)
         shift = sum(1 if g.kind == "c" else -1 for g in word)
         target = n + shift
         if target < 0:
             continue
-        mat = eye(dim_in)
-        degree = n
-        dead = False
-        for gen in reversed(word):
-            if gen.kind == "c":
-                mat = creation_matrix(system, gen.species, degree, cap) @ mat
-                degree += 1
-            else:
-                if degree == 0:
-                    dead = True
-                    break
-                mat = annihilation_matrix(system, gen.species, degree, cap) @ mat
-                degree -= 1
         if target not in blocks:
             blocks[target] = np.zeros((n_sp**target, dim_in), dtype=complex)
-        if not dead:
-            blocks[target] = blocks[target] + coeff * mat
-    return blocks
-
-
-def evaluate_on_sector(
-    expr: OperatorExpression,
-    system: StatisticsSystem,
-    n: int,
-    cap: int | None = None,
-) -> np.ndarray | dict[int, np.ndarray]:
-    """Matrix of the expression on sector n.
-
-    When every term shifts the degree by the same amount the single matrix
-    (target sector x sector n) is returned; otherwise the blockwise dict from
-    :func:`evaluation_blocks`.
-    """
-    blocks = evaluation_blocks(expr, system, n, cap)
-    if len(blocks) == 1:
-        return next(iter(blocks.values()))
+        split = len(word)
+        while split and word[split - 1].kind == "a":
+            split -= 1
+        # The term so far is mat (None: the identity on sector n) placed at
+        # rows row, row + 1, ... of sector degree.
+        mat, degree, row = None, n, 0
+        if split < len(word):
+            mat = trailing_product(word[split:])
+            if mat is None:
+                continue
+            degree -= len(word) - split
+        for gen in reversed(word[:split]):
+            if gen.kind == "c":
+                row += creation_rows(system, gen.species, degree, cap).start
+                degree += 1
+                continue
+            if degree == 0:
+                break
+            ann = annihilation_matrix(system, gen.species, degree, cap)
+            cols = ann[:, row:row + (dim_in if mat is None else mat.shape[0])]
+            mat = cols if mat is None else cols @ mat
+            degree, row = degree - 1, 0
+        else:
+            if mat is None:
+                diag = np.arange(dim_in)
+                blocks[target][row + diag, diag] += coeff
+            else:
+                blocks[target][row:row + mat.shape[0]] += coeff * mat
     return blocks
 
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately brute force and shares no code path with the
 package: index-loop Kronecker products, permutation sums for Gram entries,
-and the textbook q-factorial.
+the textbook q-factorial, and normal ordering summed over rewrite paths.
 """
 
 from __future__ import annotations
@@ -87,6 +87,38 @@ def perm_gram(n_species: int, degree: int, qmat: np.ndarray) -> np.ndarray:
     for r, w in enumerate(words):
         for c, u in enumerate(words):
             out[r, c] = perm_gram_entry(w, u, qmat)
+    return out
+
+
+def path_sum_normal_order(
+    terms: dict, t4: np.ndarray
+) -> dict[tuple, list[complex]]:
+    """Contributions of every rewrite path to each normal-ordered word.
+
+    Words are tuples of ``(kind, species)`` pairs.  Depth-first, leftmost
+    pair first, with ``a(i) c(j) -> delta_ij + sum T^{ij}_{kl} c(k) a(l)``
+    (``t4[k-1, l-1, i-1, j-1]``); like words are never merged and nothing is
+    pruned, so the returned lists hold one entry per path.
+    """
+    n = t4.shape[0]
+    out: dict[tuple, list[complex]] = {}
+    stack = [(tuple(word), complex(coeff)) for word, coeff in terms.items()]
+    while stack:
+        word, coeff = stack.pop()
+        pos = next((p for p in range(len(word) - 1)
+                    if word[p][0] == "a" and word[p + 1][0] == "c"), None)
+        if pos is None:
+            out.setdefault(word, []).append(coeff)
+            continue
+        i, j = word[pos][1], word[pos + 1][1]
+        head, tail = word[:pos], word[pos + 2:]
+        if i == j:
+            stack.append((head + tail, coeff))
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                t = t4[k - 1, l - 1, i - 1, j - 1]
+                if t != 0:
+                    stack.append((head + (("c", k), ("a", l)) + tail, coeff * t))
     return out
 
 

@@ -291,7 +291,7 @@ def test_criterion_10_normal_ordering():
     for system, _ in acceptance_systems(2):
         for _ in range(50):
             expr = _random_expression(rng, 2)
-            nf = normal_order(expr, system)  # raises beyond the length^2 bound
+            nf = normal_order(expr, system)
             assert nf.is_normal_ordered()
             for degree in range(4):
                 assert blocks_residual(

@@ -132,6 +132,19 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[0] == "1 + 0.5 c(1) a(1)"
 
+    def test_normal_order_keeps_small_true_term(self, capsys):
+        # The c^3 a^3 coefficient is q^9 = 9.1e-10, below the default eps but
+        # reached without cancellation, so it stays and --verify passes.
+        code, out, _ = run(capsys, ["normal-order", "a(1) a(1) a(1) c(1) c(1) c(1)",
+                                    "--preset", "quon", "--q", "0.099", "--dim", "1",
+                                    "--verify", "--max-sector", "3"])
+        assert code == 0
+        form, verify = out.splitlines()
+        head = form.split(" c(1) c(1) c(1) a(1) a(1) a(1)")[0]
+        coeff = float(head.rsplit(" ", 1)[1])
+        assert abs(coeff - 0.099**9) <= 1e-12 * 0.099**9
+        assert verify.startswith("verify: max residual")
+
     def test_catalog_emit_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "boson.json"
         code, _, _ = run(capsys, ["catalog", "--preset", "boson", "--dim", "2",

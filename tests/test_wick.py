@@ -1,17 +1,19 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from wickforge.catalog import make_preset
-from wickforge.errors import ExpressionSyntaxError, SpeciesOutOfRange
-from wickforge.fock import gram_matrix
+from wickforge.errors import ExpressionSyntaxError, SizeLimit, SpeciesOutOfRange
+from wickforge.fock import annihilation_matrix, gram_matrix
 from wickforge.linalg import dagger, max_abs
+from wickforge.operators import is_graded
 from wickforge.wick import (
     Generator,
     NormalForm,
     OperatorExpression,
     _psi_action_residual,
     check_cross_symmetry_axioms,
-    evaluate_on_sector,
     evaluation_blocks,
     format_expression,
     normal_order,
@@ -20,7 +22,8 @@ from wickforge.wick import (
     wick_product,
 )
 
-from conftest import acceptance_systems
+from conftest import acceptance_systems, haar_rotated, phase_phi, twisted_ccr
+from oracles import kron_oracle, path_sum_normal_order
 
 EPS = 1e-9
 
@@ -223,28 +226,30 @@ class TestStar:
 
 class TestEvaluate:
     def test_unit_is_identity(self, boson2):
-        result = evaluate_on_sector(OperatorExpression.unit(), boson2, 2)
-        assert np.array_equal(result, np.eye(4))
+        blocks = evaluation_blocks(OperatorExpression.unit(), boson2, 2)
+        assert set(blocks) == {2}
+        assert np.array_equal(blocks[2], np.eye(4))
 
     def test_number_operator_boltzmann(self, boltzmann2):
         expr = parse_expression("c(1) a(1)", 2)
-        result = evaluate_on_sector(expr, boltzmann2, 1)
-        assert np.allclose(result, np.diag([1.0, 0.0]), atol=EPS)
+        blocks = evaluation_blocks(expr, boltzmann2, 1)
+        assert set(blocks) == {1}
+        assert np.allclose(blocks[1], np.diag([1.0, 0.0]), atol=EPS)
 
     def test_mixed_shifts_return_blocks(self, boson2):
         expr = parse_expression("c(1) + a(1)", 2)
-        blocks = evaluate_on_sector(expr, boson2, 1)
-        assert isinstance(blocks, dict)
+        blocks = evaluation_blocks(expr, boson2, 1)
         assert set(blocks) == {0, 2}
+        assert blocks[0].shape == (1, 2)
+        assert blocks[2].shape == (4, 2)
 
     def test_annihilating_term_contributes_zero_block(self, boson2):
         expr = parse_expression("c(1) a(1)", 2)
-        result = evaluate_on_sector(expr, boson2, 0)
-        assert np.array_equal(result, np.zeros((1, 1)))
+        blocks = evaluation_blocks(expr, boson2, 0)
+        assert set(blocks) == {0}
+        assert np.array_equal(blocks[0], np.zeros((1, 1)))
 
     def test_size_limit_propagates(self, boson2):
-        from wickforge.errors import SizeLimit
-
         expr = parse_expression("c(1) c(1) c(1)", 2)
         with pytest.raises(SizeLimit):
             evaluation_blocks(expr, boson2, 2, cap=8)
@@ -282,6 +287,147 @@ class TestEvaluate:
             assert max_abs(
                 dagger(forward) @ gram_target - gram_source @ backward
             ) <= EPS
+
+
+def inversion_count(word):
+    return sum(1 for p, g in enumerate(word) for h in word[p + 1:]
+               if g.kind == "a" and h.kind == "c")
+
+
+def random_word(rng, n_species, max_len, max_inversions):
+    """A random word of length <= max_len, annihilators likelier towards the front.
+
+    Words with more than max_inversions inversions are redrawn: the cap
+    bounds the number of rewrite paths the oracle walks.
+    """
+    while True:
+        length = int(rng.integers(0, max_len + 1))
+        word = tuple(
+            Generator("a" if rng.random() < 1 - pos / length else "c",
+                      int(rng.integers(1, n_species + 1)))
+            for pos in range(length)
+        )
+        if inversion_count(word) <= max_inversions:
+            return word
+
+
+def reference_systems():
+    """(id, system, inversion cap) for the oracle checks; none is flip-scaled."""
+    rotated = haar_rotated(twisted_ccr(2, 0.6), np.random.default_rng(89))
+    return [
+        ("twisted2", twisted_ccr(2, 0.6), 14),
+        ("twisted3", twisted_ccr(3, 0.7), 12),
+        ("phase3", make_preset("phase", 3, phi=phase_phi(3, np.pi / 3)), 16),
+        ("rotated-twisted2", rotated, 7),
+    ]
+
+
+@lru_cache(maxsize=None)
+def creation_oracle(n_species, species, degree):
+    unit = np.zeros((n_species, 1), dtype=complex)
+    unit[species - 1, 0] = 1.0
+    return kron_oracle(unit, np.eye(n_species**degree))
+
+
+def dense_blocks(expr, system, n):
+    """Fock blocks by composing dense factor matrices, right to left, from the identity.
+
+    Creation matrices come from ``kron_oracle``; annihilation matrices from
+    the sector recursion.
+    """
+    n_sp = system.dim
+    out = {}
+    for word, coeff in expr.terms.items():
+        target = n + sum(1 if g.kind == "c" else -1 for g in word)
+        if target < 0:
+            continue
+        mat, degree = np.eye(n_sp**n, dtype=complex), n
+        for gen in reversed(word):
+            if gen.kind == "c":
+                mat = creation_oracle(n_sp, gen.species, degree) @ mat
+                degree += 1
+            elif degree == 0:
+                mat = np.zeros((n_sp**target, n_sp**n), dtype=complex)
+                break
+            else:
+                mat = annihilation_matrix(system, gen.species, degree) @ mat
+                degree -= 1
+        out[target] = out.get(target, 0) + coeff * mat
+    return out
+
+
+class TestReferences:
+    @pytest.mark.parametrize("case", range(4),
+                             ids=[case[0] for case in reference_systems()])
+    def test_normal_order_matches_path_sum(self, case):
+        _, system, max_inversions = reference_systems()[case]
+        t4 = system.cross.tensor()
+        rng = np.random.default_rng(97 + case)
+        for _ in range(20):
+            terms = {
+                random_word(rng, system.dim, 8, max_inversions):
+                complex(rng.standard_normal(), rng.standard_normal())
+                for _ in range(int(rng.integers(1, 3)))
+            }
+            got = normal_order(OperatorExpression(terms), system).terms
+            paths = path_sum_normal_order(terms, t4)
+            assert set(got) <= set(paths)
+            for word, contributions in paths.items():
+                scale = sum(abs(c) for c in contributions)
+                assert abs(got.get(word, 0.0) - sum(contributions)) <= 1e-12 * scale
+
+    def test_rotated_system_is_dense(self):
+        _, system, _ = reference_systems()[3]
+        assert not is_graded(system.cross)
+        assert np.count_nonzero(system.cross.tensor()) == 16
+
+    def test_small_true_coefficient_is_kept(self):
+        q = 0.099
+        expr = parse_expression("a(1) a(1) a(1) c(1) c(1) c(1)", 1)
+        nf = normal_order(expr, make_preset("quon", 1, q=q))
+        coeff = nf.terms[(c(1), c(1), c(1), a(1), a(1), a(1))]
+        assert abs(coeff - q**9) <= 1e-12 * q**9
+
+    def test_cancellation_noise_is_dropped(self):
+        # 3 * 0.1 - 0.3 leaves 5.6e-17 on c(1) a(1): noise against a mass of 0.6
+        expr = parse_expression("3 a(1) c(1) - 0.3 c(1) a(1)", 1)
+        nf = normal_order(expr, make_preset("quon", 1, q=0.1))
+        assert nf.terms == {(): 3.0 + 0.0j}
+
+    @pytest.mark.parametrize("case", [0, 3], ids=["twisted2", "rotated-twisted2"])
+    def test_evaluation_matches_dense_composition(self, case, boson2):
+        systems = [boson2, reference_systems()[case][1]]
+        rng = np.random.default_rng(101 + case)
+        for system in systems:
+            for _ in range(8):
+                expr = random_expression(rng, 2, max_terms=4, max_len=4)
+                for form in (expr, normal_order(expr, system)):
+                    for n in range(3):
+                        got = evaluation_blocks(form, system, n)
+                        ref = dense_blocks(form, system, n)
+                        assert set(got) == set(ref)
+                        assert blocks_residual(got, ref) <= 1e-12
+
+    def test_evaluation_dead_and_dropped_terms(self, twisted2):
+        # on sector 1: c a a dies below degree 0 but lands in sector 0,
+        # a a would land in sector -1 and is dropped, c(2) lands in sector 2
+        expr = parse_expression("c(1) a(1) a(1) + a(1) a(2) + c(2)", 2)
+        got = evaluation_blocks(expr, twisted2, 1)
+        assert set(got) == {0, 2}
+        assert np.array_equal(got[0], np.zeros((1, 2)))
+        assert blocks_residual(got, dense_blocks(expr, twisted2, 1)) == 0.0
+        # on sector 0 the annihilators after the first creator meet the vacuum
+        expr = parse_expression("c(1) c(2) a(1) a(2) c(1)", 2)
+        assert blocks_residual(evaluation_blocks(expr, twisted2, 0),
+                               {1: np.zeros((2, 1))}) == 0.0
+
+    def test_evaluation_cap_on_intermediate_sector(self, twisted2):
+        # the target is sector 2 (dim 4), but the creators pass through sector 5
+        expr = parse_expression("a(1) a(2) a(1) c(2) c(1) c(2)", 2)
+        with pytest.raises(SizeLimit):
+            evaluation_blocks(expr, twisted2, 2, cap=16)
+        got = evaluation_blocks(expr, twisted2, 2, cap=32)
+        assert blocks_residual(got, dense_blocks(expr, twisted2, 2)) <= 1e-12
 
 
 class TestCrossSymmetryAxioms:
