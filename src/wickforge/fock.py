@@ -16,23 +16,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import NoBraid, NotWellDefined, SizeLimit
 from .linalg import (
-    check_hermitian,
     dagger,
     eye,
     hermitian_spectrum,
     kernel_basis,
-    kron,
     max_abs,
     resolve_eps,
     span_and_complement,
 )
-from .operators import StatisticsSystem, build_ttilde, is_graded
+from .operators import StatisticsSystem, build_ttilde, is_graded, preserves_content
 
 #: Hard ceiling on sector dimension N^n; exceeding it raises SizeLimit.
 DEFAULT_SECTOR_CAP = 100_000
@@ -101,13 +100,32 @@ class FockSector:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
+    """A sector Gram matrix, held as its diagonal blocks on the sector's word blocks.
+
+    ``blocks[b]`` is the Gram matrix on the words ``words[b]`` (ascending
+    offsets, or a slice; see :func:`word_blocks`); entries between different
+    blocks are zero.  ``mat`` is the dense matrix, the blocks scattered into
+    zeros, built on first use.
+    """
+
     n: int
-    mat: np.ndarray
+    words: tuple
+    blocks: tuple
     quotient: bool = False
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        for offsets, block in zip(self.words, self.blocks):
+            mat[offsets[:, None], offsets] = block
+        mat.setflags(write=False)
+        return mat
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return sum(block.shape[0] for block in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -216,11 +234,46 @@ def annihilation_matrix(
     return _annihilation_level(system, n)[i - 1]
 
 
+def _submatrix(mat: np.ndarray, rows, cols) -> np.ndarray:
+    """``mat`` on the given rows and columns; a view when both are slices."""
+    if isinstance(rows, slice):
+        return mat[rows, cols]
+    return mat[rows[:, None], cols]
+
+
+def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
+    """Diagonal blocks of the sector-n Gram matrix on :func:`word_blocks`.
+
+    The (i, j) species block of G_n is ``G_{n-1} A_i C_j``, so G_n stacks
+    ``G_{n-1} A_i`` row-blockwise.  Within block c, the words beginning with
+    letter i have their tails in one block c - e_i of sector n-1, and
+    ``A_i`` maps block c into it, so block c is the stack over i of
+    ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]``, rows in ascending word offset.
+    """
+    key = ("gramblocks", system.content_key, n)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
+    if n == 0:
+        blocks = (np.ones((1, 1), dtype=complex),)
+    else:
+        prev = _gram_blocks(system, n - 1)
+        prev_words = word_blocks(system, n - 1)
+        anns = _annihilation_level(system, n)
+        blocks = tuple(
+            np.vstack([prev[p] @ _submatrix(anns[i0], prev_words[p], cols)
+                       for i0, p in heads])
+            for cols, heads in zip(word_blocks(system, n), _block_heads(system, n))
+        )
+    for block in blocks:
+        block.setflags(write=False)
+    return _cache_put(key, blocks)
+
+
 def gram_matrix(system: StatisticsSystem, n: int, cap: int | None = None) -> GramMatrix:
     """Sector Gram matrix of the scalar product making creators adjoint.
 
-    G_0 = [[1]]; the (i, j) species block of G_n is ``G_{n-1} A_i C_j``, which
-    collapses to stacking ``G_{n-1} A_i`` row-blockwise.
+    G_0 = [[1]]; the blocks are assembled by :func:`_gram_blocks`.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -228,15 +281,9 @@ def gram_matrix(system: StatisticsSystem, n: int, cap: int | None = None) -> Gra
     key = ("gram", system.content_key, n)
     cached = _cache_get(key)
     if cached is not None:
-        return GramMatrix(n=n, mat=cached)
-    if n == 0:
-        mat = np.ones((1, 1), dtype=complex)
-    else:
-        prev = gram_matrix(system, n - 1, cap).mat
-        anns = _annihilation_level(system, n)
-        mat = np.vstack([prev @ anns[i0] for i0 in range(system.dim)])
-    mat.setflags(write=False)
-    return GramMatrix(n=n, mat=_cache_put(key, mat))
+        return cached
+    gram = GramMatrix(n=n, words=word_blocks(system, n), blocks=_gram_blocks(system, n))
+    return _cache_put(key, gram)
 
 
 def quotient_gram(system: StatisticsSystem, n: int,
@@ -245,15 +292,14 @@ def quotient_gram(system: StatisticsSystem, n: int,
     sector = quotient_sector(system, n, eps=eps, cap=cap)
     q = sector.quotient.complement_basis
     full = gram_matrix(system, n, cap).mat
-    return GramMatrix(n=n, mat=dagger(q) @ full @ q, quotient=True)
+    mat = dagger(q) @ full @ q
+    return GramMatrix(n=n, words=(slice(0, q.shape[1]),), blocks=(mat,), quotient=True)
 
 
-def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
-    """Word offsets of sector n grouped by letter content, ascending in each group.
-
-    Groups are ordered by their content; together they partition
-    ``range(n_species**n)``.
-    """
+def _content_partition(
+    n_species: int, n: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Letter-content blocks of sector n and the block index of every word offset."""
     key = ("blocks", n_species, n)
     cached = _cache_get(key)
     if cached is not None:
@@ -265,9 +311,64 @@ def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
     order = np.argsort(content, kind="stable")
     starts = np.flatnonzero(np.diff(content[order])) + 1
     blocks = tuple(np.split(order, starts))
-    for block in blocks:
-        block.setflags(write=False)
-    return _cache_put(key, blocks)
+    for arr in (*blocks, content):
+        arr.setflags(write=False)
+    return _cache_put(key, (blocks, content))
+
+
+def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
+    """Word offsets of sector n grouped by letter content, ascending in each group.
+
+    Groups are ordered by their content; together they partition
+    ``range(n_species**n)``.
+    """
+    return _content_partition(n_species, n)[0]
+
+
+def _content_graded(system: StatisticsSystem) -> bool:
+    """Whether T is graded (:func:`is_graded`) and B, if any, preserves content."""
+    key = ("graded", system.content_key)
+    cached = _cache_get(key)
+    if cached is None:
+        braid = system.braid
+        cached = _cache_put(key, is_graded(system.cross)
+                            and (braid is None or preserves_content(braid)))
+    return cached
+
+
+def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, ...]:
+    """The word blocks that the Gram matrix and the ideal slice of sector n live on.
+
+    When T is graded and B (if any) preserves letter content, these are the
+    :func:`content_blocks`: the Gram matrix, the ideal slice and its
+    complement are then block-diagonal over them.  Otherwise the sector is one
+    block, given as a plain slice so that indexing by it makes no copy.
+    """
+    if _content_graded(system):
+        return content_blocks(system.dim, n)
+    return (slice(0, system.dim**n),)
+
+
+def _block_heads(
+    system: StatisticsSystem, n: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per block of sector n >= 1: (first letter - 1, block of the tails in sector n-1).
+
+    One pair per first letter that occurs in the block, in ascending order.
+    """
+    n_sp = system.dim
+    if not _content_graded(system):
+        return (tuple((i0, 0) for i0 in range(n_sp)),)
+    size = n_sp ** (n - 1)
+    offsets = np.arange(n_sp**n)
+    blocks, block_of = _content_partition(n_sp, n)
+    parent_of = _content_partition(n_sp, n - 1)[1][offsets % size]
+    # One representative word per (block, first letter), in ascending order.
+    _, first = np.unique(block_of * n_sp + offsets // size, return_index=True)
+    heads = [[] for _ in blocks]
+    for word in first.tolist():
+        heads[block_of[word]].append((word // size, int(parent_of[word])))
+    return tuple(map(tuple, heads))
 
 
 def sector_spectrum(
@@ -280,11 +381,11 @@ def sector_spectrum(
     """Ascending eigenvalues of the (possibly quotient) Gram matrix of sector n.
 
     The one decomposition of a sector, cached, from which every Gram verdict
-    is derived.  Hermiticity is checked once over the whole matrix (raising
-    :class:`NotHermitian`).  When T is graded (:func:`is_graded`) the full
-    Gram matrix is block-diagonal over letter content and each block is
-    diagonalized on its own; ungraded systems and quotient Grams form a
-    single block.
+    is derived.  Each diagonal block of the Gram matrix (:func:`word_blocks`;
+    a quotient Gram is one block) is checked for Hermiticity at the tolerance
+    of the whole matrix, ``eps * max(1, max|G|)`` (raising
+    :class:`NotHermitian`), and diagonalized on its own; off-block entries
+    are zero by construction.
     """
     eps = resolve_eps(eps)
     _check_cap(system.dim**n, cap)
@@ -293,18 +394,12 @@ def sector_spectrum(
     if cached is not None:
         return cached
     if quotient:
-        mat = quotient_gram(system, n, eps=eps, cap=cap).mat
+        gram = quotient_gram(system, n, eps=eps, cap=cap)
     else:
-        mat = gram_matrix(system, n, cap).mat
-    if not quotient and is_graded(system.cross):
-        check_hermitian(mat, eps)
-        # Hermitian parts of the diagonal blocks: exactly Hermitian, so each
-        # passes the check in hermitian_spectrum at its own scale.
-        subs = (mat[np.ix_(block, block)] for block in content_blocks(system.dim, n))
-        blocks = [(sub + dagger(sub)) / 2 for sub in subs]
-    else:
-        blocks = [mat]
-    spectrum = np.sort(np.concatenate([hermitian_spectrum(b, eps) for b in blocks]))
+        gram = gram_matrix(system, n, cap)
+    scale = max(max_abs(block) for block in gram.blocks)
+    spectrum = np.sort(np.concatenate(
+        [hermitian_spectrum(block, eps, scale=scale) for block in gram.blocks]))
     spectrum.setflags(write=False)
     return _cache_put(key, spectrum)
 
@@ -349,10 +444,45 @@ def p2_kernel(system: StatisticsSystem, eps: float | None = None) -> np.ndarray:
     return kernel_basis(eye(n_sp * n_sp) + build_ttilde(system.cross), eps)
 
 
+def _block_generators(
+    gen: np.ndarray, offsets: np.ndarray, n_sp: int, n: int
+) -> np.ndarray:
+    """Ideal generators of sector n on the words ``offsets``, one column block per p.
+
+    Column block p is ``id^(p-1) (x) gen (x) id^(n-p-1)`` on those rows and
+    columns: entry (u, w) is ``gen[pair(u), pair(w)]`` when the words u and w
+    agree outside the letters p, p+1, and 0 otherwise.
+    """
+    blocks = []
+    for p in range(1, n):
+        low = n_sp ** (n - p - 1)
+        pair = offsets // low % (n_sp * n_sp)
+        rest = offsets - pair * low
+        blocks.append(np.where(rest[:, None] == rest, gen[pair[:, None], pair], 0))
+    return np.hstack(blocks)
+
+
+def _scatter_rows(dim: int, words, parts) -> np.ndarray:
+    """The parts side by side, each with its rows placed on its word block."""
+    out = np.zeros((dim, sum(part.shape[1] for part in parts)), dtype=complex)
+    col = 0
+    for rows, part in zip(words, parts):
+        out[rows, col:col + part.shape[1]] = part
+        col += part.shape[1]
+    return out
+
+
 def _ideal_bases(
     system: StatisticsSystem, n: int, eps: float, cap: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the degree-n slice of the braid ideal and its complement."""
+    """Orthonormal bases of the degree-n slice of the braid ideal and its complement.
+
+    The generators are the columns of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)``
+    over the insertion positions p.  Each one stays inside the word block of
+    its column (:func:`word_blocks`), so the span and the complement are taken
+    block by block, each with the rank cutoff ``eps * max(1, sigma_max)`` of
+    its own block, and scattered back into sector-n columns.
+    """
     if system.braid is None:
         raise NoBraid("no braid operator: the free algebra has no quotient")
     n_sp = system.dim
@@ -366,11 +496,14 @@ def _ideal_bases(
         span, comp = np.zeros((dim, 0), dtype=complex), eye(dim)
     else:
         gen = eye(n_sp * n_sp) - system.braid.mat
-        blocks = [
-            kron(eye(n_sp ** (p - 1)), kron(gen, eye(n_sp ** (n - p - 1))))
-            for p in range(1, n)
-        ]
-        span, comp = span_and_complement(np.hstack(blocks), dim, eps)
+        words = word_blocks(system, n)
+        bases = []
+        for rows in words:
+            offsets = np.arange(dim)[rows]
+            bases.append(span_and_complement(
+                _block_generators(gen, offsets, n_sp, n), offsets.size, eps))
+        span = _scatter_rows(dim, words, [span_b for span_b, _ in bases])
+        comp = _scatter_rows(dim, words, [comp_b for _, comp_b in bases])
     span.setflags(write=False)
     comp.setflags(write=False)
     return _cache_put(key, (span, comp))
@@ -423,9 +556,11 @@ def descended_operators(
     _check_species(system, i)
     span_n, q_n = _ideal_bases(system, n, eps, cap)
     _, q_up = _ideal_bases(system, n + 1, eps, cap)
-    cmat = creation_matrix(system, i, n, cap)
+    # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
+    # to the matching columns of dagger(q_up).
+    q_up_c = dagger(q_up[creation_rows(system, i, n, cap)])
     if span_n.shape[1]:
-        res_c = max_abs(dagger(q_up) @ (cmat @ span_n))
+        res_c = max_abs(q_up_c @ span_n)
         if res_c > eps:
             raise NotWellDefined(
                 f"creation does not preserve the ideal at degree {n} "
@@ -444,7 +579,7 @@ def descended_operators(
                     f"(residual {res_a:.3e}); (T, B) violate the consistency laws"
                 )
         ann = dagger(q_down) @ amat @ q_n
-    return dagger(q_up) @ cmat @ q_n, ann
+    return q_up_c @ q_n, ann
 
 
 def sector_report(

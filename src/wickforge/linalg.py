@@ -57,34 +57,40 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex).conj().T
 
 
-def hermitian_spectrum(a: np.ndarray, eps: float | None = None) -> np.ndarray:
+def hermitian_spectrum(
+    a: np.ndarray, eps: float | None = None, scale: float | None = None
+) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Raises :class:`NotHermitian` (see :func:`check_hermitian`) unless ``a`` is
-    Hermitian to within the relative tolerance; otherwise diagonalizes the
-    Hermitian part ``(a + dagger(a)) / 2``.
+    Raises :class:`NotHermitian` (see :func:`check_hermitian`, which takes
+    ``scale``) unless ``a`` is Hermitian to within the relative tolerance;
+    otherwise diagonalizes the Hermitian part ``(a + dagger(a)) / 2``.
     """
     eps = resolve_eps(eps)
     m = as_matrix(a)
-    check_hermitian(m, eps)
+    check_hermitian(m, eps, scale)
     if m.shape[0] == 0:
         return np.zeros(0)
     return np.linalg.eigvalsh((m + dagger(m)) / 2)
 
 
-def check_hermitian(a: np.ndarray, eps: float | None = None) -> None:
+def check_hermitian(
+    a: np.ndarray, eps: float | None = None, scale: float | None = None
+) -> None:
     """Raise :class:`NotHermitian` unless ``a`` is square and Hermitian.
 
     The entrywise residual ``|a - dagger(a)|`` may reach ``eps * max(1,
-    max|a|)``: the same relative rule as the rank cutoff, so that matrices
-    whose entries grow large (Gram matrices grow like n!) are judged by their
-    rounding, not by their scale.
+    scale)``, where ``scale`` defaults to ``max|a|``: the same relative rule
+    as the rank cutoff, so that matrices whose entries grow large (Gram
+    matrices grow like n!) are judged by their rounding, not by their scale.
+    A diagonal block of a larger matrix passes that matrix's ``max|a|`` as
+    ``scale``, to be judged at the tolerance of the whole.
     """
     eps = resolve_eps(eps)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {a.shape}")
     residual = max_abs(a - dagger(a))
-    tol = eps * max(1.0, max_abs(a))
+    tol = eps * max(1.0, max_abs(a) if scale is None else scale)
     if residual > tol:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {residual:.3e} (tolerance {tol:.3e})"
@@ -118,36 +124,28 @@ def kernel_basis(a: np.ndarray, eps: float | None = None) -> np.ndarray:
 
 
 def span_and_complement(
-    vectors, ambient_dim: int, eps: float | None = None
+    vectors: np.ndarray, ambient_dim: int, eps: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the span of ``vectors`` and of its complement.
+    """Orthonormal bases of the column span of ``vectors`` and of its complement.
 
-    ``vectors`` is a matrix with the vectors as columns, or any sequence of
-    length-``ambient_dim`` vectors.  Both returned bases are column matrices
-    in the standard Euclidean inner product; their widths always add up to
-    ``ambient_dim``.
+    ``vectors`` is an ``ambient_dim x k`` matrix with the vectors as columns.
+    Both returned bases are column matrices in the standard Euclidean inner
+    product; their widths always add up to ``ambient_dim``.  Singular values
+    at or below ``eps * max(1, sigma_max)`` count as zero.
     """
     eps = resolve_eps(eps)
-    if isinstance(vectors, (list, tuple)):
-        if len(vectors) == 0:
-            vecs = np.zeros((ambient_dim, 0), dtype=complex)
-        else:
-            vecs = np.stack(
-                [np.asarray(v, dtype=complex).reshape(-1) for v in vectors], axis=1
-            )
-    else:
-        vecs = np.asarray(vectors, dtype=complex)
-        if vecs.size == 0:
-            vecs = np.zeros((ambient_dim, 0), dtype=complex)
-        elif vecs.ndim == 1:
-            vecs = vecs[:, None]
-    if vecs.shape[0] != ambient_dim:
+    vecs = np.asarray(vectors, dtype=complex)
+    if vecs.ndim != 2 or vecs.shape[0] != ambient_dim:
         raise ValueError(
-            f"vectors have length {vecs.shape[0]}, ambient dimension is {ambient_dim}"
+            f"expected an {ambient_dim} x k matrix of column vectors, "
+            f"got shape {vecs.shape}"
         )
     if vecs.shape[1] == 0:
         return np.zeros((ambient_dim, 0), dtype=complex), eye(ambient_dim)
-    u, s, _ = np.linalg.svd(vecs, full_matrices=True)
+    # The complement needs all ambient_dim columns of U, which the reduced
+    # SVD already returns when there are at least as many vectors; the full
+    # one would also build the k x k right factor, which is never used.
+    u, s, _ = np.linalg.svd(vecs, full_matrices=vecs.shape[1] < ambient_dim)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > eps * max(1.0, smax)))
     return u[:, :rank], u[:, rank:]

@@ -181,6 +181,20 @@ def is_graded(cross: CrossOperator) -> bool:
     return not np.any(cross.tensor()[~allowed])
 
 
+def preserves_content(braid: BraidOperator) -> bool:
+    """Whether B maps every two-letter word into words of the same letters.
+
+    True when every nonzero ``B^{ij}_{kl}`` has ``{k, l} = {i, j}`` as
+    multisets, that is ``(k, l) = (i, j)`` or ``(k, l) = (j, i)``.  Then every
+    generator of the braid ideal stays within the letter content of the word
+    it comes from, and each ideal slice is block-diagonal over letter
+    multisets.  Every preset braid ``B = Ttilde`` qualifies.
+    """
+    k, l, i, j = np.indices(braid.tensor().shape)
+    allowed = ((k == i) & (l == j)) | ((k == j) & (l == i))
+    return not np.any(braid.tensor()[~allowed])
+
+
 def check_star(cross: CrossOperator, eps: float | None = None) -> tuple[bool, float]:
     """Star condition ``T^{ij}_{kl} = conj(T^{ji}_{lk})``; returns (ok, residual)."""
     eps = resolve_eps(eps)

@@ -48,7 +48,12 @@ def _word_sort_key(word: GenWord):
 
 
 class OperatorExpression:
-    """A formal complex combination of generator words; zero terms are pruned."""
+    """A formal complex combination of generator words; exact-zero terms are pruned.
+
+    Arithmetic keeps every nonzero coefficient, however small: a product of
+    small coefficients is still a true term.  Only the parser drops input
+    terms with ``|coeff| <= 1e-9``.
+    """
 
     __slots__ = ("_terms",)
 
@@ -56,7 +61,7 @@ class OperatorExpression:
         pruned: dict[GenWord, complex] = {}
         for word, coeff in (terms or {}).items():
             coeff = complex(coeff)
-            if abs(coeff) > DEFAULT_EPS:
+            if coeff != 0:
                 pruned[tuple(word)] = coeff
         self._terms = pruned
 
@@ -271,7 +276,8 @@ class _Parser:
                     f"expected '+' or '-', got {tok.text!r}", tok.pos
                 )
             self.next()
-        return OperatorExpression(terms)
+        return OperatorExpression(
+            {word: c for word, c in terms.items() if abs(c) > DEFAULT_EPS})
 
     def parse_term(self) -> tuple[GenWord, complex]:
         coeff = self.parse_coeff()

@@ -17,6 +17,7 @@ from wickforge.fock import (
     sector_basis,
     sector_report,
     sector_spectrum,
+    word_blocks,
     word_index,
 )
 from wickforge.linalg import dagger, kernel_basis, max_abs
@@ -26,10 +27,11 @@ from wickforge.operators import (
     StatisticsSystem,
     flip_matrix,
     is_graded,
+    preserves_content,
 )
 
 from conftest import acceptance_systems, haar_rotated, twisted_ccr
-from oracles import perm_gram, q_factorial
+from oracles import perm_gram, perm_gram_entry, q_factorial
 
 EPS = 1e-9
 
@@ -249,6 +251,125 @@ class TestGrading:
                 report = positivity_report(system, degree)
                 assert report.kernel_dim == kernel_basis(gram).shape[1], (
                     system.label, degree)
+
+
+def dense_gram_recursion(system: StatisticsSystem, degree: int) -> np.ndarray:
+    """G_n = vstack_i(G_{n-1} A_i) over whole sectors, as assembled before blocks."""
+    gram = np.ones((1, 1), dtype=complex)
+    for m in range(1, degree + 1):
+        gram = np.vstack([gram @ annihilation_matrix(system, i, m)
+                          for i in range(1, system.dim + 1)])
+    return gram
+
+
+def dense_complement_projector(system: StatisticsSystem, degree: int) -> np.ndarray:
+    """Complement projector of the ideal slice from one SVD of all generators."""
+    n_sp, dim = system.dim, system.dim**degree
+    if degree < 2:
+        return np.eye(dim)
+    gen = np.eye(n_sp * n_sp) - system.braid.mat
+    stack = np.hstack([
+        np.kron(np.eye(n_sp ** (p - 1)), np.kron(gen, np.eye(n_sp ** (degree - p - 1))))
+        for p in range(1, degree)])
+    u, s, _ = np.linalg.svd(stack)
+    rank = int(np.sum(s > EPS * max(1.0, s[0])))
+    return u[:, rank:] @ dagger(u[:, rank:])
+
+
+def braided_systems(n_species: int) -> list[StatisticsSystem]:
+    return [make_preset("boson", n_species), make_preset("fermion", n_species),
+            make_preset("phase", n_species, phi=np.pi / 3)]
+
+
+class TestBlockwiseAssembly:
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 7), (3, 5)])
+    def test_gram_matches_dense_recursion_and_oracle(self, fresh_cache, n_species,
+                                                     max_degree):
+        rng = np.random.default_rng(11)
+        systems = acceptance_systems(n_species) + [(twisted_ccr(n_species, 0.6), None)]
+        for system, qmat in systems:
+            for degree in range(max_degree + 1):
+                gram = gram_matrix(system, degree)
+                assert len(gram.blocks) == len(content_blocks(n_species, degree))
+                dense = dense_gram_recursion(system, degree)
+                tol = 1e-12 * max(1.0, max_abs(dense))
+                assert max_abs(gram.mat - dense) <= tol, (system.label, degree)
+            if qmat is None:
+                continue
+            # Sampled entries of the top sector against the permutation sum,
+            # within and across letter-content blocks.
+            words = sector_basis(n_species, max_degree).basis
+            for block in content_blocks(n_species, max_degree)[::3]:
+                r, c = rng.choice(block, 2)
+                for u in (words[c], words[rng.integers(len(words))]):
+                    entry = gram.mat[r, word_index(u, n_species)]
+                    oracle = perm_gram_entry(words[r], u, qmat)
+                    assert abs(entry - oracle) <= 1e-12 * max(1.0, max_abs(gram.mat)), (
+                        system.label, words[r], u)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_ideal_projector_matches_dense_svd(self, fresh_cache, n_species):
+        for system in braided_systems(n_species):
+            for degree in range(6):
+                comp = quotient_sector(system, degree).quotient.complement_basis
+                span = ideal_subspace(system, degree)
+                assert span.shape[1] + comp.shape[1] == n_species**degree
+                assert max_abs(comp @ dagger(comp)
+                               - dense_complement_projector(system, degree)) <= 1e-10, (
+                    system.label, degree)
+
+    def test_haar_rotated_system_is_one_block(self, fresh_cache):
+        rng = np.random.default_rng(5)
+        system = haar_rotated(make_preset("phase", 2, phi=np.pi / 3), rng)
+        assert not preserves_content(system.braid)
+        for degree in range(5):
+            assert word_blocks(system, degree) == (slice(0, 2**degree),)
+            gram = gram_matrix(system, degree)
+            assert gram.mat is gram.blocks[0]  # no scatter, no copy
+            assert max_abs(gram.mat - dense_gram_recursion(system, degree)) == 0.0
+            comp = quotient_sector(system, degree).quotient.complement_basis
+            assert max_abs(comp @ dagger(comp)
+                           - dense_complement_projector(system, degree)) <= 1e-10
+
+    def test_graded_cross_with_content_mixing_braid_is_one_block(self, fresh_cache):
+        # The boson B = flip is the same in every basis, so pair the boson T
+        # with a rotated phase braid, which moves words between contents.
+        boson = make_preset("boson", 2)
+        braid = haar_rotated(make_preset("phase", 2, phi=np.pi / 3),
+                             np.random.default_rng(9)).braid
+        mixed = StatisticsSystem(cross=boson.cross, braid=braid, label="mixed")
+        assert is_graded(mixed.cross) and not preserves_content(braid)
+        assert all(preserves_content(s.braid) for s in braided_systems(3))
+        for degree in range(5):
+            assert word_blocks(mixed, degree) == (slice(0, 2**degree),)
+            assert word_blocks(boson, degree) is content_blocks(2, degree)
+            assert max_abs(gram_matrix(mixed, degree).mat
+                           - gram_matrix(boson, degree).mat) <= 1e-12 * 4**degree
+            comp = quotient_sector(mixed, degree).quotient.complement_basis
+            assert max_abs(comp @ dagger(comp)
+                           - dense_complement_projector(mixed, degree)) <= 1e-10
+
+
+class TestKernelGeneration:
+    """The Gram kernel of sector n is the degree-n ideal of ker(id + Ttilde).
+
+    With B = Ttilde the generators id - B span the degree-2 kernel, and the
+    Fock kernel is generated in degree 2 (Jorgensen-Proskurin-Samoilenko,
+    Pacific J. Math. 198 (2001)).  Dimension form: the Gram layer (spectrum)
+    and the ideal layer (generator SVD) share no code.
+    """
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graded", "rotated"])
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_kernel_dim_equals_ideal_dim(self, fresh_cache, n_species, rotated):
+        rng = np.random.default_rng(13)
+        for system in braided_systems(n_species):
+            if rotated:
+                system = haar_rotated(system, rng)
+            for degree in range(6):
+                kernel_dim = positivity_report(system, degree).kernel_dim
+                ideal_dim = ideal_subspace(system, degree).shape[1]
+                assert kernel_dim == ideal_dim, (system.label, degree)
 
 
 class TestP2Kernel:

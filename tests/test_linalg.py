@@ -141,13 +141,13 @@ class TestKernelBasis:
 
 class TestSpanAndComplement:
     def test_empty_input(self):
-        span, comp = span_and_complement([], 3)
+        span, comp = span_and_complement(np.zeros((3, 0)), 3)
         assert span.shape == (3, 0)
         assert comp.shape == (3, 3)
 
     def test_duplicate_collapse(self):
         e1 = np.array([1.0, 0.0])
-        span, comp = span_and_complement([e1, e1], 2)
+        span, comp = span_and_complement(np.stack([e1, e1], axis=1), 2)
         assert span.shape == (2, 1)
         assert comp.shape == (2, 1)
 

@@ -171,6 +171,22 @@ class TestWickProduct:
                               parse_expression("c(1)", 1), quon1_half)
         assert format_expression(result) == "1 + 0.5 c(1) a(1)"
 
+    def test_keeps_small_product_terms(self, quon1_half):
+        # 1e-5 * 1e-5 = 1e-10 is below the parser's 1e-9 drop but is a true
+        # term of the product; arithmetic must keep it.
+        result = wick_product(parse_expression("1e-5 a(1)", 1),
+                              parse_expression("1e-5 c(1)", 1), quon1_half)
+        assert set(result.terms) == {(), (c(1), a(1))}
+        assert result.terms[()] == pytest.approx(1e-10, rel=1e-12)
+        assert result.terms[(c(1), a(1))] == pytest.approx(5e-11, rel=1e-12)
+
+    def test_arithmetic_drops_only_exact_zeros(self):
+        small = OperatorExpression({(c(1),): 1e-12})
+        assert (small + small).terms == {(c(1),): 2e-12}
+        assert small.scale(1e-3).terms == {(c(1),): 1e-15}
+        assert (small - small).terms == {}
+        assert parse_expression("1e-12 c(1)", 1).terms == {}
+
     def test_associative(self, boson2):
         rng = np.random.default_rng(61)
         for _ in range(10):
