@@ -39,7 +39,18 @@ from .wick import evaluation_blocks, format_expression, normal_order, parse_expr
 
 def _env_eps() -> float | None:
     raw = os.environ.get("WICKFORGE_EPS")
-    return float(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise InvalidParams(f"WICKFORGE_EPS must be a number, got {raw!r}") from None
+
+
+def _sectors_upto(max_sector: int) -> range:
+    if max_sector < 0:
+        raise InvalidParams(f"--max-sector must be >= 0, got {max_sector}")
+    return range(max_sector + 1)
 
 
 def _parse_phi(text: str, dim: int):
@@ -145,7 +156,7 @@ def _cmd_quotient(args) -> int:
     eps = resolve_eps(args.eps)
     sectors = []
     all_ok = True
-    for n in range(args.max_sector + 1):
+    for n in _sectors_upto(args.max_sector):
         qdim = quotient_sector(system, n, eps).quotient.dim
         well = True
         detail = ""
@@ -180,13 +191,14 @@ def _cmd_quotient(args) -> int:
 def _cmd_normal_order(args) -> int:
     system = _resolve_system(args)
     eps = resolve_eps(args.eps)
+    sectors = _sectors_upto(args.max_sector)
     expr = parse_expression(args.expr, system.dim)
     nf = normal_order(expr, system)
     text = format_expression(nf)
     worst = None
     if args.verify:
         worst = 0.0
-        for n in range(args.max_sector + 1):
+        for n in sectors:
             lhs = evaluation_blocks(expr, system, n)
             rhs = evaluation_blocks(nf, system, n)
             for key in set(lhs) | set(rhs):
@@ -225,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wickforge",
         description="Validate generalized-statistics operators and build their Fock sectors.",
     )
-    parser.add_argument("--eps", type=float, default=_env_eps(),
+    parser.add_argument("--eps", type=float, default=None,
                         help="equality tolerance (default 1e-9 or $WICKFORGE_EPS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -281,6 +293,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.eps is None:
+            args.eps = _env_eps()
         return args.func(args)
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)

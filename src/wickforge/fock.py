@@ -34,7 +34,7 @@ from .linalg import (
 from .operators import StatisticsSystem, build_ttilde, is_graded, preserves_content
 
 #: Hard ceiling on sector dimension N^n; exceeding it raises SizeLimit.
-DEFAULT_SECTOR_CAP = 100_000
+SECTOR_CAP = 100_000
 
 Word = tuple[int, ...]
 
@@ -57,10 +57,14 @@ def _cache_put(key, value):
         return _CACHE.setdefault(key, value)
 
 
-def _check_cap(dim: int, cap: int | None) -> None:
-    limit = DEFAULT_SECTOR_CAP if cap is None else cap
-    if dim > limit:
-        raise SizeLimit(f"sector dimension {dim} exceeds cap {limit}")
+def _sector_dim(n_species: int, n: int) -> int:
+    """Dimension N^n of sector n: the one size rule, raising SizeLimit above the cap."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    dim = n_species**n
+    if dim > SECTOR_CAP:
+        raise SizeLimit(f"sector dimension {dim} exceeds cap {SECTOR_CAP}")
+    return dim
 
 
 def _check_species(system: StatisticsSystem, i: int) -> None:
@@ -111,7 +115,6 @@ class GramMatrix:
     n: int
     words: tuple
     blocks: tuple
-    quotient: bool = False
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -146,41 +149,32 @@ class PositivityReport:
         }
 
 
-def sector_basis(n_species: int, n: int, cap: int | None = None) -> FockSector:
+def sector_basis(n_species: int, n: int) -> FockSector:
     """All words of length n over 1..n_species, lexicographic."""
     if n_species < 1:
         raise ValueError(f"need at least one species, got {n_species}")
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    dim = n_species**n
-    _check_cap(dim, cap)
+    dim = _sector_dim(n_species, n)
     words = tuple(product(range(1, n_species + 1), repeat=n))
     return FockSector(n=n, dim_full=dim, basis=words)
 
 
-def creation_rows(
-    system: StatisticsSystem, i: int, n: int, cap: int | None = None
-) -> slice:
+def creation_rows(system: StatisticsSystem, i: int, n: int) -> slice:
     """Rows of sector n+1 that w -> x^i (x) w fills from sector n: one row block.
 
     Creation prepends the letter i, so it places sector n, unchanged, in row
     block i of sector n+1.
     """
     _check_species(system, i)
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    _check_cap(system.dim ** (n + 1), cap)
-    size = system.dim**n
+    size = _sector_dim(system.dim, n)
+    _sector_dim(system.dim, n + 1)
     return slice((i - 1) * size, i * size)
 
 
-def creation_matrix(
-    system: StatisticsSystem, i: int, n: int, cap: int | None = None
-) -> np.ndarray:
+def creation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     """Matrix of w -> x^i (x) w from sector n to sector n+1."""
-    rows = creation_rows(system, i, n, cap)
-    size = system.dim**n
-    mat = np.zeros((system.dim * size, size), dtype=complex)
+    rows = creation_rows(system, i, n)
+    size = rows.stop - rows.start
+    mat = np.zeros((_sector_dim(system.dim, n + 1), size), dtype=complex)
     mat[rows] = eye(size)
     return mat
 
@@ -192,45 +186,32 @@ def _annihilation_level(system: StatisticsSystem, m: int) -> tuple[np.ndarray, .
     if cached is not None:
         return cached
     n_sp = system.dim
-    if m == 1:
-        mats = []
-        for i0 in range(n_sp):
-            row = np.zeros((1, n_sp), dtype=complex)
-            row[0, i0] = 1.0
-            mats.append(row)
-    else:
+    dim_out = _sector_dim(n_sp, m - 1)
+    mats = tuple(np.zeros((dim_out, _sector_dim(n_sp, m)), dtype=complex)
+                 for _ in range(n_sp))
+    # The delta term: the identity on column block i of A_i.
+    diag = np.arange(dim_out)
+    for i0, mat in enumerate(mats):
+        mat[diag, i0 * dim_out + diag] = 1.0
+    if m > 1:
+        # The T term: T^{ij}_{kl} A_l in block (k, j) of A_i, for every nonzero.
         prev = _annihilation_level(system, m - 1)
+        blk = _sector_dim(n_sp, m - 2)
         t4 = system.cross.tensor()
-        dim_in = n_sp**m
-        dim_out = n_sp ** (m - 1)
-        blk = n_sp ** (m - 2)
-        mats = []
-        for i0 in range(n_sp):
-            mat = np.zeros((dim_out, dim_in), dtype=complex)
-            for j0 in range(n_sp):
-                cols = slice(j0 * dim_out, (j0 + 1) * dim_out)
-                if i0 == j0:
-                    mat[:, cols] += eye(dim_out)
-                for k0 in range(n_sp):
-                    rows = slice(k0 * blk, (k0 + 1) * blk)
-                    for l0 in range(n_sp):
-                        coeff = t4[k0, l0, i0, j0]
-                        if coeff != 0:
-                            mat[rows, cols] += coeff * prev[l0]
-            mats.append(mat)
+        for k0, l0, i0, j0 in zip(*np.nonzero(t4)):
+            mats[i0][k0 * blk:(k0 + 1) * blk, j0 * dim_out:(j0 + 1) * dim_out] += (
+                t4[k0, l0, i0, j0] * prev[l0])
     for mat in mats:
         mat.setflags(write=False)
-    return _cache_put(key, tuple(mats))
+    return _cache_put(key, mats)
 
 
-def annihilation_matrix(
-    system: StatisticsSystem, i: int, n: int, cap: int | None = None
-) -> np.ndarray:
+def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     """Matrix of the annihilation recursion from sector n to sector n-1."""
     _check_species(system, i)
     if n < 1:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
-    _check_cap(system.dim**n, cap)
+    _sector_dim(system.dim, n)
     return _annihilation_level(system, n)[i - 1]
 
 
@@ -270,14 +251,12 @@ def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
     return _cache_put(key, blocks)
 
 
-def gram_matrix(system: StatisticsSystem, n: int, cap: int | None = None) -> GramMatrix:
+def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
     """Sector Gram matrix of the scalar product making creators adjoint.
 
     G_0 = [[1]]; the blocks are assembled by :func:`_gram_blocks`.
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    _check_cap(system.dim**n, cap)
+    _sector_dim(system.dim, n)
     key = ("gram", system.content_key, n)
     cached = _cache_get(key)
     if cached is not None:
@@ -287,13 +266,11 @@ def gram_matrix(system: StatisticsSystem, n: int, cap: int | None = None) -> Gra
 
 
 def quotient_gram(system: StatisticsSystem, n: int,
-                  eps: float | None = None, cap: int | None = None) -> GramMatrix:
+                  eps: float | None = None) -> GramMatrix:
     """Gram matrix compressed to the quotient representatives of sector n."""
-    sector = quotient_sector(system, n, eps=eps, cap=cap)
-    q = sector.quotient.complement_basis
-    full = gram_matrix(system, n, cap).mat
-    mat = dagger(q) @ full @ q
-    return GramMatrix(n=n, words=(slice(0, q.shape[1]),), blocks=(mat,), quotient=True)
+    q = quotient_sector(system, n, eps=eps).quotient.complement_basis
+    mat = dagger(q) @ gram_matrix(system, n).mat @ q
+    return GramMatrix(n=n, words=(slice(0, q.shape[1]),), blocks=(mat,))
 
 
 def _content_partition(
@@ -304,7 +281,7 @@ def _content_partition(
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    offsets = np.arange(n_species**n)
+    offsets = np.arange(_sector_dim(n_species, n))
     letters = offsets[:, None] // n_species ** np.arange(n) % n_species
     _, content = np.unique(np.sort(letters, axis=1), axis=0, return_inverse=True)
     content = content.reshape(-1)
@@ -346,7 +323,7 @@ def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, .
     """
     if _content_graded(system):
         return content_blocks(system.dim, n)
-    return (slice(0, system.dim**n),)
+    return (slice(0, _sector_dim(system.dim, n)),)
 
 
 def _block_heads(
@@ -359,8 +336,8 @@ def _block_heads(
     n_sp = system.dim
     if not _content_graded(system):
         return (tuple((i0, 0) for i0 in range(n_sp)),)
-    size = n_sp ** (n - 1)
-    offsets = np.arange(n_sp**n)
+    size = _sector_dim(n_sp, n - 1)
+    offsets = np.arange(_sector_dim(n_sp, n))
     blocks, block_of = _content_partition(n_sp, n)
     parent_of = _content_partition(n_sp, n - 1)[1][offsets % size]
     # One representative word per (block, first letter), in ascending order.
@@ -376,7 +353,6 @@ def sector_spectrum(
     n: int,
     eps: float | None = None,
     quotient: bool = False,
-    cap: int | None = None,
 ) -> np.ndarray:
     """Ascending eigenvalues of the (possibly quotient) Gram matrix of sector n.
 
@@ -388,15 +364,15 @@ def sector_spectrum(
     are zero by construction.
     """
     eps = resolve_eps(eps)
-    _check_cap(system.dim**n, cap)
+    _sector_dim(system.dim, n)
     key = ("spectrum", system.content_key, n, eps, quotient)
     cached = _cache_get(key)
     if cached is not None:
         return cached
     if quotient:
-        gram = quotient_gram(system, n, eps=eps, cap=cap)
+        gram = quotient_gram(system, n, eps=eps)
     else:
-        gram = gram_matrix(system, n, cap)
+        gram = gram_matrix(system, n)
     scale = max(max_abs(block) for block in gram.blocks)
     spectrum = np.sort(np.concatenate(
         [hermitian_spectrum(block, eps, scale=scale) for block in gram.blocks]))
@@ -409,7 +385,6 @@ def positivity_report(
     n: int,
     eps: float | None = None,
     quotient: bool = False,
-    cap: int | None = None,
 ) -> PositivityReport:
     """Positivity verdict for the (possibly quotient) Gram, from its spectrum.
 
@@ -421,7 +396,7 @@ def positivity_report(
     kernel is trivial.
     """
     eps = resolve_eps(eps)
-    spectrum = sector_spectrum(system, n, eps=eps, quotient=quotient, cap=cap)
+    spectrum = sector_spectrum(system, n, eps=eps, quotient=quotient)
     if spectrum.size == 0:
         return PositivityReport(n=n, min_eig=None, kernel_dim=0,
                                 positive_semidefinite=True, positive_definite=True)
@@ -473,7 +448,7 @@ def _scatter_rows(dim: int, words, parts) -> np.ndarray:
 
 
 def _ideal_bases(
-    system: StatisticsSystem, n: int, eps: float, cap: int | None
+    system: StatisticsSystem, n: int, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the degree-n slice of the braid ideal and its complement.
 
@@ -486,8 +461,7 @@ def _ideal_bases(
     if system.braid is None:
         raise NoBraid("no braid operator: the free algebra has no quotient")
     n_sp = system.dim
-    dim = n_sp**n
-    _check_cap(dim, cap)
+    dim = _sector_dim(n_sp, n)
     key = ("ideal", system.content_key, n, eps)
     cached = _cache_get(key)
     if cached is not None:
@@ -510,24 +484,24 @@ def _ideal_bases(
 
 
 def ideal_subspace(
-    system: StatisticsSystem, n: int, eps: float | None = None, cap: int | None = None
+    system: StatisticsSystem, n: int, eps: float | None = None
 ) -> np.ndarray:
     """Degree-n slice of the two-sided ideal generated by the image of id - B.
 
     Spanned by the images of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)`` over all
     insertion positions p; empty below degree 2.
     """
-    span, _ = _ideal_bases(system, n, resolve_eps(eps), cap)
+    span, _ = _ideal_bases(system, n, resolve_eps(eps))
     return span
 
 
 def quotient_sector(
-    system: StatisticsSystem, n: int, eps: float | None = None, cap: int | None = None
+    system: StatisticsSystem, n: int, eps: float | None = None
 ) -> FockSector:
     """Sector with quotient representatives (complement of the ideal) attached."""
     eps = resolve_eps(eps)
-    sector = sector_basis(system.dim, n, cap)
-    _, comp = _ideal_bases(system, n, eps, cap)
+    sector = sector_basis(system.dim, n)
+    _, comp = _ideal_bases(system, n, eps)
     projector = comp @ dagger(comp)
     projector.setflags(write=False)
     return FockSector(
@@ -543,7 +517,6 @@ def descended_operators(
     i: int,
     n: int,
     eps: float | None = None,
-    cap: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Creation (n -> n+1) and annihilation (n -> n-1) on quotient sectors.
 
@@ -554,11 +527,11 @@ def descended_operators(
     """
     eps = resolve_eps(eps)
     _check_species(system, i)
-    span_n, q_n = _ideal_bases(system, n, eps, cap)
-    _, q_up = _ideal_bases(system, n + 1, eps, cap)
+    span_n, q_n = _ideal_bases(system, n, eps)
+    _, q_up = _ideal_bases(system, n + 1, eps)
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).
-    q_up_c = dagger(q_up[creation_rows(system, i, n, cap)])
+    q_up_c = dagger(q_up[creation_rows(system, i, n)])
     if span_n.shape[1]:
         res_c = max_abs(q_up_c @ span_n)
         if res_c > eps:
@@ -569,8 +542,8 @@ def descended_operators(
     if n == 0:
         ann = np.zeros((0, q_n.shape[1]), dtype=complex)
     else:
-        _, q_down = _ideal_bases(system, n - 1, eps, cap)
-        amat = annihilation_matrix(system, i, n, cap)
+        _, q_down = _ideal_bases(system, n - 1, eps)
+        amat = annihilation_matrix(system, i, n)
         if span_n.shape[1]:
             res_a = max_abs(dagger(q_down) @ (amat @ span_n))
             if res_a > eps:
@@ -587,17 +560,16 @@ def sector_report(
     n: int,
     quotient: bool = False,
     eps: float | None = None,
-    cap: int | None = None,
 ) -> dict:
     """JSON-ready summary of one sector, as consumed by the CLI."""
     eps = resolve_eps(eps)
-    report = positivity_report(system, n, eps=eps, quotient=quotient, cap=cap)
+    report = positivity_report(system, n, eps=eps, quotient=quotient)
     qdim = None
     if quotient:
-        qdim = quotient_sector(system, n, eps=eps, cap=cap).quotient.dim
+        qdim = quotient_sector(system, n, eps=eps).quotient.dim
     return {
         "sector": n,
-        "dim": system.dim**n,
+        "dim": _sector_dim(system.dim, n),
         "quotient_dim": qdim,
         "min_eig": report.min_eig,
         "kernel_dim": report.kernel_dim,

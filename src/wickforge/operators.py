@@ -93,17 +93,6 @@ class BraidOperator:
         return cls(_mat_from_entries(dim, entries, "braid"))
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """The fixed pairing g_E(x^{*i} (x) x^j) = delta^{ij}; not configurable."""
-
-    dim: int
-
-    @property
-    def mat(self) -> np.ndarray:
-        return eye(self.dim)
-
-
 @dataclass(frozen=True, eq=False)
 class StatisticsSystem:
     """A cross operator plus an optional braid operator under one label."""
@@ -121,10 +110,6 @@ class StatisticsSystem:
     @property
     def dim(self) -> int:
         return self.cross.dim
-
-    @property
-    def pairing(self) -> Pairing:
-        return Pairing(self.dim)
 
     @cached_property
     def content_key(self) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code path with the
 package: index-loop Kronecker products, permutation sums for Gram entries,
-the textbook q-factorial, and normal ordering summed over rewrite paths.
+the textbook q-factorial, normal ordering summed over rewrite paths, and
+annihilation applied word by word.
 """
 
 from __future__ import annotations
@@ -119,6 +120,27 @@ def path_sum_normal_order(
                 t = t4[k - 1, l - 1, i - 1, j - 1]
                 if t != 0:
                     stack.append((head + (("c", k), ("a", l)) + tail, coeff * t))
+    return out
+
+
+def annihilate_word(t4: np.ndarray, i: int, word: tuple[int, ...]) -> dict[tuple, complex]:
+    """``a_i`` applied to one word by the recursion, as a dict of words.
+
+    ``a_i (x^j w) = delta_ij w + sum_{k,l} T^{ij}_{kl} x^k a_l(w)`` with
+    ``T^{ij}_{kl} = t4[k-1, l-1, i-1, j-1]``, and ``a_i`` kills the empty word.
+    """
+    if not word:
+        return {}
+    n = t4.shape[0]
+    j, rest = word[0], word[1:]
+    out: dict[tuple, complex] = {rest: 1.0 + 0j} if i == j else {}
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            t = t4[k - 1, l - 1, i - 1, j - 1]
+            if t != 0:
+                for tail, c in annihilate_word(t4, l, rest).items():
+                    key = (k,) + tail
+                    out[key] = out.get(key, 0) + t * c
     return out
 
 

@@ -80,6 +80,27 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    def test_oversized_verify_target_is_size_limit(self, capsys):
+        # the target sector of 40 creators on the vacuum has dim 2^40
+        code, out, err = run(capsys, ["normal-order", " ".join(["c(1)"] * 40),
+                                      "--preset", "boson", "--dim", "2", "--verify",
+                                      "--max-sector", "0"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["quotient", "--preset", "boson", "--max-sector", "-3"],
+        ["normal-order", "a(1) c(1)", "--preset", "boson", "--verify",
+         "--max-sector", "-1"],
+    ])
+    def test_negative_max_sector_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-sector must be >= 0, got " + argv[-1] + "\n"
+
     def test_quotient_on_braidless_system(self, capsys):
         code, _, err = run(capsys, ["quotient", "--preset", "quon", "--q", "0.5",
                                     "--dim", "2"])
@@ -181,6 +202,19 @@ class TestEpsPlumbing:
     def test_env_var_fallback(self, capsys, corrupted_file, monkeypatch):
         monkeypatch.setenv("WICKFORGE_EPS", "0.6")
         code, _, _ = run(capsys, ["validate", "--file", corrupted_file])
+        assert code == 0
+
+    def test_env_var_not_a_number_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WICKFORGE_EPS", "abc")
+        code, out, err = run(capsys, ["validate", "--preset", "boson"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "WICKFORGE_EPS" in err
+
+    def test_flag_overrides_bad_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("WICKFORGE_EPS", "abc")
+        code, _, _ = run(capsys, ["--eps", "1e-9", "validate", "--preset", "boson"])
         assert code == 0
 
 

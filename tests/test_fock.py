@@ -1,6 +1,10 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from wickforge import fock, wick
 from wickforge.catalog import make_preset
 from wickforge.errors import NoBraid, NotWellDefined, SizeLimit
 from wickforge.fock import (
@@ -31,7 +35,7 @@ from wickforge.operators import (
 )
 
 from conftest import acceptance_systems, haar_rotated, twisted_ccr
-from oracles import perm_gram, perm_gram_entry, q_factorial
+from oracles import annihilate_word, perm_gram, perm_gram_entry, q_factorial
 
 EPS = 1e-9
 
@@ -60,15 +64,64 @@ class TestSectorBasis:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             sector_basis(2, 17)
-        sector_basis(2, 17, cap=2**17)  # explicit cap lifts it
 
-    def test_size_limit_on_matrix_builders(self, boson2):
+    def test_size_limit_on_matrix_builders(self, boson2, monkeypatch):
+        monkeypatch.setattr(fock, "SECTOR_CAP", 8)
         with pytest.raises(SizeLimit):
-            creation_matrix(boson2, 1, 3, cap=8)  # target sector has dim 16
+            creation_matrix(boson2, 1, 3)  # target sector has dim 16
         with pytest.raises(SizeLimit):
-            annihilation_matrix(boson2, 1, 4, cap=8)
+            annihilation_matrix(boson2, 1, 4)
         with pytest.raises(SizeLimit):
-            gram_matrix(boson2, 4, cap=8)
+            gram_matrix(boson2, 4)
+
+
+class TestSectorCap:
+    """The sector-size rule lives in one function and is not a parameter."""
+
+    @pytest.mark.parametrize("module", [fock, wick], ids=lambda m: m.__name__)
+    def test_no_function_takes_a_cap(self, module):
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            if func.__module__ == module.__name__:
+                assert "cap" not in inspect.signature(func).parameters, name
+
+    @pytest.mark.parametrize("module", [fock, wick], ids=lambda m: m.__name__)
+    def test_only_sector_dim_reads_the_cap(self, module):
+        tree = ast.parse(inspect.getsource(module))
+
+        def reads(node) -> int:
+            """Reads of SECTOR_CAP under node: as a name, an attribute or an import."""
+            count = 0
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    count += sub.id == "SECTOR_CAP"
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    count += sub.attr == "SECTOR_CAP"
+                elif isinstance(sub, ast.alias):
+                    count += sub.name == "SECTOR_CAP"
+            return count
+
+        inside = sum(reads(node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_sector_dim")
+        assert reads(tree) == inside
+        assert (inside > 0) == (module is fock)
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        assert fock._sector_dim(10, 5) == 10**5
+        with pytest.raises(SizeLimit):
+            fock._sector_dim(10, 6)
+        monkeypatch.setattr(fock, "SECTOR_CAP", 10**6)
+        assert fock._sector_dim(10, 6) == 10**6
+        with pytest.raises(ValueError):
+            fock._sector_dim(2, -1)
+
+    def test_checked_before_the_cache(self, boson2, monkeypatch):
+        gram_matrix(boson2, 4)
+        sector_spectrum(boson2, 4)
+        monkeypatch.setattr(fock, "SECTOR_CAP", 8)
+        with pytest.raises(SizeLimit):
+            gram_matrix(boson2, 4)
+        with pytest.raises(SizeLimit):
+            sector_spectrum(boson2, 4)
 
 
 class TestCreationMatrix:
@@ -122,6 +175,23 @@ class TestAnnihilationMatrix:
 
     def test_degree_one_is_pairing(self, boson2):
         assert np.array_equal(annihilation_matrix(boson2, 2, 1), [[0, 1]])
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 5), (3, 4)])
+    def test_matches_word_recursion(self, n_species, max_degree):
+        rng = np.random.default_rng(17)
+        systems = graded_systems(n_species)
+        systems += [haar_rotated(systems[-1], rng), haar_rotated(systems[3], rng)]
+        for system in systems:
+            t4 = system.cross.tensor()
+            for n in range(1, max_degree + 1):
+                words = sector_basis(n_species, n).basis
+                for i in range(1, n_species + 1):
+                    oracle = np.zeros((n_species ** (n - 1), len(words)), dtype=complex)
+                    for col, word in enumerate(words):
+                        for tail, c in annihilate_word(t4, i, word).items():
+                            oracle[word_index(tail, n_species), col] += c
+                    got = annihilation_matrix(system, i, n)
+                    assert max_abs(got - oracle) <= 1e-12, (system.label, n, i)
 
 
 class TestGramMatrix:

@@ -308,12 +308,6 @@ def test_system_dim_mismatch_rejected():
                          braid=BraidOperator(flip_matrix(3)))
 
 
-def test_pairing_is_the_kronecker_delta():
-    system = make_preset("boson", 3)
-    assert system.pairing.dim == 3
-    assert np.array_equal(system.pairing.mat, np.eye(3))
-
-
 def test_non_finite_entries_rejected():
     bad = np.zeros((4, 4))
     bad[0, 0] = np.nan

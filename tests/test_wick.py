@@ -3,6 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from wickforge import fock
 from wickforge.catalog import make_preset
 from wickforge.errors import ExpressionSyntaxError, SizeLimit, SpeciesOutOfRange
 from wickforge.fock import annihilation_matrix, gram_matrix
@@ -265,10 +266,11 @@ class TestEvaluate:
         assert set(blocks) == {0}
         assert np.array_equal(blocks[0], np.zeros((1, 1)))
 
-    def test_size_limit_propagates(self, boson2):
+    def test_size_limit_propagates(self, boson2, monkeypatch):
+        monkeypatch.setattr(fock, "SECTOR_CAP", 8)
         expr = parse_expression("c(1) c(1) c(1)", 2)
         with pytest.raises(SizeLimit):
-            evaluation_blocks(expr, boson2, 2, cap=8)
+            evaluation_blocks(expr, boson2, 2)
 
     def test_soundness_random(self):
         rng = np.random.default_rng(79)
@@ -437,12 +439,14 @@ class TestReferences:
         assert blocks_residual(evaluation_blocks(expr, twisted2, 0),
                                {1: np.zeros((2, 1))}) == 0.0
 
-    def test_evaluation_cap_on_intermediate_sector(self, twisted2):
+    def test_evaluation_cap_on_intermediate_sector(self, twisted2, monkeypatch):
         # the target is sector 2 (dim 4), but the creators pass through sector 5
         expr = parse_expression("a(1) a(2) a(1) c(2) c(1) c(2)", 2)
+        monkeypatch.setattr(fock, "SECTOR_CAP", 16)
         with pytest.raises(SizeLimit):
-            evaluation_blocks(expr, twisted2, 2, cap=16)
-        got = evaluation_blocks(expr, twisted2, 2, cap=32)
+            evaluation_blocks(expr, twisted2, 2)
+        monkeypatch.setattr(fock, "SECTOR_CAP", 32)
+        got = evaluation_blocks(expr, twisted2, 2)
         assert blocks_residual(got, dense_blocks(expr, twisted2, 2)) <= 1e-12
 
 
