@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import InvalidParams
 from .linalg import DEFAULT_EPS, max_abs
-from .operators import BraidOperator, CrossOperator, StatisticsSystem, build_ttilde
+from .operators import (
+    BraidOperator,
+    CrossOperator,
+    StatisticsSystem,
+    build_ttilde,
+    check_operator_dim,
+)
 
 PRESET_NAMES = ("boltzmann", "boson", "fermion", "quon", "phase")
 
@@ -65,6 +71,7 @@ def make_preset(
     """Construct a preset system; see the module docstring for the family."""
     if dim < 1:
         raise InvalidParams(f"dim must be >= 1, got {dim}")
+    check_operator_dim(dim)
     if name == "boltzmann":
         coeffs = np.zeros((dim, dim))
         return StatisticsSystem(

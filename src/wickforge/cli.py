@@ -42,9 +42,10 @@ def _env_eps() -> float | None:
     if not raw:
         return None
     try:
-        return float(raw)
+        return resolve_eps(float(raw))
     except ValueError:
-        raise InvalidParams(f"WICKFORGE_EPS must be a number, got {raw!r}") from None
+        raise InvalidParams(
+            f"WICKFORGE_EPS must be a positive finite number, got {raw!r}") from None
 
 
 def _sectors_upto(max_sector: int) -> range:
@@ -293,8 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.eps is None:
-            args.eps = _env_eps()
+        args.eps = _env_eps() if args.eps is None else resolve_eps(args.eps)
         return args.func(args)
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,16 @@ from .linalg import (
     resolve_eps,
     span_and_complement,
 )
-from .operators import StatisticsSystem, build_ttilde, is_graded, preserves_content
+from .operators import (
+    ROUNDING,
+    StatisticsSystem,
+    build_ttilde,
+    change_basis,
+    graded_part,
+    is_graded,
+    preserves_content,
+    weight_basis,
+)
 
 #: Hard ceiling on sector dimension N^n; exceeding it raises SizeLimit.
 SECTOR_CAP = 100_000
@@ -87,7 +96,13 @@ class QuotientData:
     """Representatives of TE/I inside a sector: complement basis and projector."""
 
     complement_basis: np.ndarray  # N^n x d', orthonormal columns
-    projector: np.ndarray         # N^n x N^n, Hermitian idempotent
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The N^n x N^n Hermitian idempotent onto the complement, built on first use."""
+        projector = self.complement_basis @ dagger(self.complement_basis)
+        projector.setflags(write=False)
+        return projector
 
     @property
     def dim(self) -> int:
@@ -313,6 +328,42 @@ def _content_graded(system: StatisticsSystem) -> bool:
     return cached
 
 
+def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem]:
+    """The weight basis W of the system and the system in it, graded if possible.
+
+    A system graded as given (:func:`_content_graded`) is its own weight
+    form, with ``W = 1``.  Otherwise T and B are moved to the basis of
+    :func:`~wickforge.operators.weight_basis` and cut to the graded patterns
+    (:func:`~wickforge.operators.graded_part`); the cut form is accepted only
+    when the entries it drops are rounding, at most ``ROUNDING * max(1,
+    max|T|, max|B|)``.  A system without such a torus keeps ``W = 1`` and
+    itself, one block per sector.  Every basis-invariant verdict (Gram
+    spectra, ideal and quotient dimensions) can be taken on the weight form.
+    """
+    if _content_graded(system):
+        return eye(system.dim), system
+    key = ("weight", system.content_key)
+    cached = _cache_get(key)
+    if cached is None:
+        w = weight_basis(system)
+        graded, dropped = graded_part(change_basis(system, w))
+        scale = max(1.0, max_abs(system.cross.mat),
+                    0.0 if system.braid is None else max_abs(system.braid.mat))
+        cached = _cache_put(key, (w, graded) if dropped <= ROUNDING * scale
+                            else (eye(system.dim), None))
+    w, form = cached
+    return w, system if form is None else form
+
+
+def _apply_tensor_power(w: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
+    """``(w (x) ... (x) w) @ mat`` for n factors, applied one factor at a time."""
+    n_sp = w.shape[0]
+    out = mat.reshape((n_sp,) * n + (mat.shape[1],))
+    for axis in range(n):
+        out = np.moveaxis(np.tensordot(w, out, axes=([1], [axis])), 0, axis)
+    return out.reshape(mat.shape)
+
+
 def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, ...]:
     """The word blocks that the Gram matrix and the ideal slice of sector n live on.
 
@@ -372,7 +423,7 @@ def sector_spectrum(
     if quotient:
         gram = quotient_gram(system, n, eps=eps)
     else:
-        gram = gram_matrix(system, n)
+        gram = gram_matrix(_weight_form(system)[1], n)
     scale = max(max_abs(block) for block in gram.blocks)
     spectrum = np.sort(np.concatenate(
         [hermitian_spectrum(block, eps, scale=scale) for block in gram.blocks]))
@@ -453,10 +504,12 @@ def _ideal_bases(
     """Orthonormal bases of the degree-n slice of the braid ideal and its complement.
 
     The generators are the columns of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)``
-    over the insertion positions p.  Each one stays inside the word block of
-    its column (:func:`word_blocks`), so the span and the complement are taken
+    over the insertion positions p.  They are formed in the weight basis
+    (:func:`_weight_form`), where each one stays inside the word block of its
+    column (:func:`word_blocks`), so the span and the complement are taken
     block by block, each with the rank cutoff ``eps * max(1, sigma_max)`` of
-    its own block, and scattered back into sector-n columns.
+    its own block, scattered back into sector-n columns and mapped to the
+    standard basis by ``W^(x)n``.
     """
     if system.braid is None:
         raise NoBraid("no braid operator: the free algebra has no quotient")
@@ -469,8 +522,9 @@ def _ideal_bases(
     if n < 2:
         span, comp = np.zeros((dim, 0), dtype=complex), eye(dim)
     else:
-        gen = eye(n_sp * n_sp) - system.braid.mat
-        words = word_blocks(system, n)
+        w, form = _weight_form(system)
+        gen = eye(n_sp * n_sp) - form.braid.mat
+        words = word_blocks(form, n)
         bases = []
         for rows in words:
             offsets = np.arange(dim)[rows]
@@ -478,6 +532,8 @@ def _ideal_bases(
                 _block_generators(gen, offsets, n_sp, n), offsets.size, eps))
         span = _scatter_rows(dim, words, [span_b for span_b, _ in bases])
         comp = _scatter_rows(dim, words, [comp_b for _, comp_b in bases])
+        if form is not system:
+            span, comp = _apply_tensor_power(w, span, n), _apply_tensor_power(w, comp, n)
     span.setflags(write=False)
     comp.setflags(write=False)
     return _cache_put(key, (span, comp))
@@ -502,13 +558,11 @@ def quotient_sector(
     eps = resolve_eps(eps)
     sector = sector_basis(system.dim, n)
     _, comp = _ideal_bases(system, n, eps)
-    projector = comp @ dagger(comp)
-    projector.setflags(write=False)
     return FockSector(
         n=sector.n,
         dim_full=sector.dim_full,
         basis=sector.basis,
-        quotient=QuotientData(complement_basis=comp, projector=projector),
+        quotient=QuotientData(complement_basis=comp),
     )
 
 

@@ -9,6 +9,8 @@ convention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotHermitian
@@ -18,11 +20,11 @@ DEFAULT_EPS = 1e-9
 
 
 def resolve_eps(eps: float | None) -> float:
-    """Return ``eps`` or the global default, rejecting non-positive values."""
+    """Return ``eps`` or the global default, rejecting non-positive and non-finite values."""
     if eps is None:
         return DEFAULT_EPS
-    if not eps > 0:
-        raise ValueError(f"tolerance must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {eps}")
     return float(eps)
 
 

@@ -18,8 +18,29 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SizeLimit
 from .linalg import as_matrix, dagger, eye, kron, max_abs, operator_norm, resolve_eps
+
+#: Relative size of rounding in the operator-level computations of
+#: :func:`weight_basis`: singular values and dropped entries at or below
+#: ``ROUNDING`` times the scale count as zero.
+ROUNDING = 1e3 * np.finfo(float).eps
+
+#: Hard ceiling on the N^4 entries of an operator tensor; exceeding it raises SizeLimit.
+OPERATOR_CAP = 100_000
+
+
+def check_operator_dim(dim: int) -> None:
+    """The one size rule for operator tensors: N^4 entries at most :data:`OPERATOR_CAP`.
+
+    Checked before any N^4 allocation: by presets, by operator files and by
+    the operator classes.  It also bounds the N^4-row system that
+    :func:`weight_basis` solves.
+    """
+    if dim**4 > OPERATOR_CAP:
+        raise SizeLimit(
+            f"operator tensor for N={dim} has {dim**4} entries, exceeding cap {OPERATOR_CAP}"
+        )
 
 
 def flip_matrix(n: int) -> np.ndarray:
@@ -38,6 +59,7 @@ def _check_square_pair(mat: np.ndarray, what: str) -> int:
     n = round(rows**0.5)
     if n * n != rows or n < 1:
         raise ValueError(f"{what} matrix must be N^2 x N^2, got {rows} rows")
+    check_operator_dim(n)
     return n
 
 
@@ -123,6 +145,7 @@ class StatisticsSystem:
 def _mat_from_entries(dim: int, entries, what: str) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    check_operator_dim(dim)
     t = np.zeros((dim, dim, dim, dim), dtype=complex)
     seen = set()
     for entry in entries:
@@ -152,6 +175,18 @@ def build_ttilde(cross: CrossOperator | np.ndarray) -> np.ndarray:
     return t4.transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
+def _graded_pattern(n: int) -> np.ndarray:
+    """Mask of the tensor entries ``[k, l, i, j]`` with ``{k, i} = {j, l}`` as multisets."""
+    k, l, i, j = np.indices((n, n, n, n))
+    return ((k == j) & (l == i)) | ((i == j) & (k == l))
+
+
+def _content_pattern(n: int) -> np.ndarray:
+    """Mask of the tensor entries ``[k, l, i, j]`` with ``{k, l} = {i, j}`` as multisets."""
+    k, l, i, j = np.indices((n, n, n, n))
+    return ((k == i) & (l == j)) | ((k == j) & (l == i))
+
+
 def is_graded(cross: CrossOperator) -> bool:
     """Whether annihilation preserves the grading of words by letter content.
 
@@ -159,11 +194,10 @@ def is_graded(cross: CrossOperator) -> bool:
     multisets, that is ``(k, l) = (j, i)`` or ``i = j`` and ``k = l``.  Then
     ``a_i`` lowers the letter content by exactly ``e_i``, and every sector Gram
     matrix is block-diagonal over letter multisets.  Presets and twisted CCR
-    are graded; a generic change of basis destroys the grading.
+    are graded; a generic change of basis destroys the grading, and
+    :func:`weight_basis` finds a basis that restores it.
     """
-    k, l, i, j = np.indices(cross.tensor().shape)
-    allowed = ((k == j) & (l == i)) | ((i == j) & (k == l))
-    return not np.any(cross.tensor()[~allowed])
+    return not np.any(cross.tensor()[~_graded_pattern(cross.dim)])
 
 
 def preserves_content(braid: BraidOperator) -> bool:
@@ -175,9 +209,147 @@ def preserves_content(braid: BraidOperator) -> bool:
     it comes from, and each ideal slice is block-diagonal over letter
     multisets.  Every preset braid ``B = Ttilde`` qualifies.
     """
-    k, l, i, j = np.indices(braid.tensor().shape)
-    allowed = ((k == i) & (l == j)) | ((k == j) & (l == i))
-    return not np.any(braid.tensor()[~allowed])
+    return not np.any(braid.tensor()[~_content_pattern(braid.dim)])
+
+
+def graded_part(system: StatisticsSystem) -> tuple[StatisticsSystem, float]:
+    """The system with T cut to the graded pattern and B to the content pattern.
+
+    Returns the cut system, for which :func:`is_graded` and
+    :func:`preserves_content` hold, and the largest entry magnitude dropped.
+    """
+    n = system.dim
+    cross = np.where(_graded_pattern(n), system.cross.tensor(), 0)
+    dropped = max_abs(system.cross.tensor() - cross)
+    braid = None
+    if system.braid is not None:
+        braid = np.where(_content_pattern(n), system.braid.tensor(), 0)
+        dropped = max(dropped, max_abs(system.braid.tensor() - braid))
+        braid = BraidOperator(braid.reshape(n * n, n * n))
+    return StatisticsSystem(cross=CrossOperator(cross.reshape(n * n, n * n)),
+                            braid=braid, label=system.label), dropped
+
+
+#: Per tensor axis ``(k, l, i, j)``: -1 where the slot transforms by conj(u)
+#: (E*, or the input of B), +1 where it transforms by u.
+_CROSS_SLOTS = (-1, 1, -1, 1)
+_BRAID_SLOTS = (-1, -1, 1, 1)
+
+
+def _transform(t4: np.ndarray, mats) -> np.ndarray:
+    """t4 with each axis a contracted against the rows of ``mats[a]``.
+
+    ``out[s, t, p, r] = sum mats[0][k, s] mats[1][l, t] mats[2][i, p]
+    mats[3][j, r] t4[k, l, i, j]``, one axis at a time.
+    """
+    for axis, mat in enumerate(mats):
+        t4 = np.moveaxis(np.tensordot(mat, t4, axes=([0], [axis])), 0, axis)
+    return t4
+
+
+def change_basis(system: StatisticsSystem, w: np.ndarray) -> StatisticsSystem:
+    """The same statistics in the basis ``x'_p = sum_j w[j, p] x^j``, for a unitary w.
+
+    E* transforms by ``conj(w)``: T's slots ``(k, l, i, j)`` by
+    ``(conj(w), w, conj(w), w)`` and B's by ``(conj(w), conj(w), w, w)``.
+    Every law, Gram spectrum and quotient dimension is unchanged.
+    """
+    n = system.dim
+    moves = {-1: w.conj(), 1: w}
+    cross = _transform(system.cross.tensor(), [moves[s] for s in _CROSS_SLOTS])
+    braid = None
+    if system.braid is not None:
+        braid = BraidOperator(_transform(system.braid.tensor(),
+                                         [moves[s] for s in _BRAID_SLOTS]).reshape(n * n, n * n))
+    return StatisticsSystem(cross=CrossOperator(cross.reshape(n * n, n * n)),
+                            braid=braid, label=system.label)
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """The n x n Hermitian matrices, orthonormal under ``Re tr(a^* b)``, stacked."""
+    basis = []
+    for a in range(n):
+        for b in range(a, n):
+            for value in ((1.0,) if a == b else (2**-0.5, 1j * 2**-0.5)):
+                mat = np.zeros((n, n), dtype=complex)
+                mat[a, b] = value
+                mat[b, a] = np.conj(value)
+                basis.append(mat)
+    return np.array(basis)
+
+
+def _derivation_rows(t4: np.ndarray, acts, s: int) -> np.ndarray:
+    """Entries ``[m, s, :, :, :]`` of the derivation of t4 by each basis element X_m.
+
+    ``acts[a][m]`` is the matrix that slot a of t4 is contracted against:
+    ``-conj(X_m)`` for a slot that transforms by conj(u), ``+X_m`` for one that
+    transforms by u.  One row per output entry whose first index is s.
+    """
+    n = t4.shape[0]
+    head = t4[s]
+    d = (acts[0][:, :, s] @ t4.reshape(n, -1)).reshape(-1, n, n, n)
+    d += np.tensordot(acts[1], head, axes=([1], [0]))
+    d += np.tensordot(acts[2], head, axes=([1], [1])).transpose(0, 2, 1, 3)
+    d += np.tensordot(acts[3], head, axes=([1], [2])).transpose(0, 2, 3, 1)
+    return d.reshape(len(d), -1)
+
+
+def symmetry_generators(system: StatisticsSystem) -> np.ndarray:
+    """The Hermitian X that generate symmetries of T and B, as an orthonormal stack.
+
+    X generates a symmetry when T and B are unchanged in the basis
+    ``exp(i theta X)`` for every theta (see :func:`change_basis`), that is when
+    their derivations by X vanish: ``-conj(X)`` on the slots that transform by
+    ``conj(u)``, ``+X`` on the others.  These are real linear equations in the
+    N^2 real coordinates of X, N^4 per operator; the result is a basis of
+    their null space, orthonormal under ``Re tr(a^* b)``, shape ``(d, N, N)``.
+    The identity is always in it; a graded system has every diagonal X.
+    """
+    n = system.dim
+    herm = _hermitian_basis(n)
+    ops = [(system.cross.tensor(), _CROSS_SLOTS)]
+    if system.braid is not None:
+        ops.append((system.braid.tensor(), _BRAID_SLOTS))
+    # The equations arrive N^3 complex rows at a time and only the triangular
+    # factor of their stack is kept: its singular values and right singular
+    # vectors are those of the whole stack, without holding N^4 x N^2 entries.
+    tri = np.zeros((0, n * n))
+    for t4, slots in ops:
+        acts = [sign * (herm.conj() if sign < 0 else herm) for sign in slots]
+        for s in range(n):
+            rows = _derivation_rows(t4, acts, s)
+            tri = np.linalg.qr(np.vstack([tri, rows.real.T, rows.imag.T]), mode="r")
+    sv, vh = np.linalg.svd(tri)[1:]
+    null = vh[np.count_nonzero(sv > ROUNDING * max(1.0, sv[0])):]
+    return np.einsum("dm,mab->dab", null, herm)
+
+
+def weight_basis(system: StatisticsSystem) -> np.ndarray:
+    """A unitary W whose columns are weight vectors of the torus that T and B preserve.
+
+    X is the orthogonal projection of ``diag(1..N)`` onto the span of
+    :func:`symmetry_generators`, and W holds its eigenvectors.  For a torus
+    in general position the eigenvalues of X can crowd (two of them 1e-3
+    apart), which leaves W mixed at well above rounding; so the projection
+    is taken once more with ``diag(1..N)`` placed in that first basis, where
+    the torus is almost diagonal and the eigenvalues come out near 1..N.
+    The columns are ordered by the row of their largest entry, which is made
+    real and positive.  Deterministic.  W grades the system when its
+    symmetries form a torus of rank N with distinct weights; the caller
+    checks that with :func:`graded_part` after :func:`change_basis`.
+    """
+    n = system.dim
+    gens = symmetry_generators(system)
+    target = np.diag(np.arange(1.0, n + 1))
+    w = eye(n)
+    for _ in range(2):
+        placed = w @ target @ dagger(w)
+        coords = np.einsum("dab,ab->d", gens.conj(), placed).real
+        w = np.linalg.eigh(np.einsum("d,dab->ab", coords, gens))[1]
+    peaks = np.argmax(np.abs(w), axis=0)
+    w = w[:, np.argsort(peaks, kind="stable")]
+    top = w[np.sort(peaks), np.arange(n)]
+    return w * (top.conj() / np.abs(top))
 
 
 def check_star(cross: CrossOperator, eps: float | None = None) -> tuple[bool, float]:

@@ -52,6 +52,18 @@ def twisted_ccr(n_species: int, mu: float) -> StatisticsSystem:
                             label=f"twisted-ccr(mu={mu})")
 
 
+def multi_q(n_species: int, rng: np.random.Generator) -> StatisticsSystem:
+    """Flip-scaled T with a random real symmetric q, 0.1 <= |q_ij| < 0.8; no braid."""
+    signed = rng.uniform(0.1, 0.8, (n_species, n_species)) * rng.choice((-1, 1), (n_species,) * 2)
+    qmat = np.triu(signed) + np.triu(signed, 1).T
+    t = np.zeros((n_species,) * 4, dtype=complex)  # t[k, l, i, j] = T^{ij}_{kl}
+    for i in range(n_species):
+        for j in range(n_species):
+            t[j, i, i, j] = qmat[i, j]
+    return StatisticsSystem(cross=CrossOperator(t.reshape(n_species**2, n_species**2)),
+                            label="multi-q")
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     qmat, rmat = np.linalg.qr(z)

@@ -91,6 +91,23 @@ class TestExitCodes:
         assert "cap" in err
 
     @pytest.mark.parametrize("argv", [
+        ["validate", "--preset", "boson", "--dim", "1000"],
+        ["catalog", "--preset", "boson", "--dim", "18"],
+        ["validate", "--file", "{big}"],
+    ], ids=["preset", "catalog", "file"])
+    def test_oversized_operator_is_size_limit(self, capsys, tmp_path, argv):
+        # The rule runs before the N^4 tensor exists: at N = 1000 it would
+        # take 14.6 TiB.
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dim": 1000, "cross": [[1, 1, 1, 1, 1.0, 0.0]],
+                                   "braid": None}))
+        code, out, err = run(capsys, [arg.format(big=big) for arg in argv])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap" in err
+
+    @pytest.mark.parametrize("argv", [
         ["quotient", "--preset", "boson", "--max-sector", "-3"],
         ["normal-order", "a(1) c(1)", "--preset", "boson", "--verify",
          "--max-sector", "-1"],
@@ -207,6 +224,23 @@ class TestEpsPlumbing:
     def test_env_var_not_a_number_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WICKFORGE_EPS", "abc")
         code, out, err = run(capsys, ["validate", "--preset", "boson"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "WICKFORGE_EPS" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "0"])
+    def test_flag_not_positive_finite_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, ["--eps", value, "gram", "--preset", "boson",
+                                      "--sector", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_env_var_not_positive_finite_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("WICKFORGE_EPS", value)
+        code, out, err = run(capsys, ["gram", "--preset", "boson", "--sector", "2"])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,7 +6,7 @@ import pytest
 
 from wickforge import fock, wick
 from wickforge.catalog import make_preset
-from wickforge.errors import NoBraid, NotWellDefined, SizeLimit
+from wickforge.errors import NoBraid, NotHermitian, NotWellDefined, SizeLimit
 from wickforge.fock import (
     annihilation_matrix,
     content_blocks,
@@ -29,12 +29,13 @@ from wickforge.operators import (
     BraidOperator,
     CrossOperator,
     StatisticsSystem,
+    check_star,
     flip_matrix,
     is_graded,
     preserves_content,
 )
 
-from conftest import acceptance_systems, haar_rotated, twisted_ccr
+from conftest import acceptance_systems, haar_rotated, haar_unitary, multi_q, twisted_ccr
 from oracles import annihilate_word, perm_gram, perm_gram_entry, q_factorial
 
 EPS = 1e-9
@@ -420,6 +421,128 @@ class TestBlockwiseAssembly:
                            - dense_complement_projector(mixed, degree)) <= 1e-10
 
 
+def rotated_twins(n_species: int, rng: np.random.Generator):
+    """(graded system, Haar-rotated copy) for the graded battery, multi-q included."""
+    bases = graded_systems(n_species) + [multi_q(n_species, rng)]
+    return [(base, haar_rotated(base, rng)) for base in bases]
+
+
+def generic_system(n_species: int, rng: np.random.Generator) -> StatisticsSystem:
+    """A star-law T and a B with no common symmetry but the overall phase."""
+    shape = (n_species**2, n_species**2)
+    t4 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).reshape(
+        (n_species,) * 4)
+    cross = (t4 + t4.transpose(1, 0, 3, 2).conj()).reshape(shape) / 4
+    braid = haar_unitary(rng, n_species**2)
+    return StatisticsSystem(cross=CrossOperator(cross), braid=BraidOperator(braid),
+                            label="generic")
+
+
+class TestWeightForm:
+    """Basis-invariant verdicts are taken in the weight basis of the system's torus."""
+
+    @pytest.mark.parametrize("n_species", [1, 2, 3])
+    def test_graded_systems_are_their_own_weight_form(self, fresh_cache, n_species):
+        for system in graded_systems(n_species):
+            w, form = fock._weight_form(system)
+            assert form is system, system.label
+            assert np.array_equal(w, np.eye(n_species))
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 7), (3, 5)])
+    def test_rotated_spectra_equal_graded_twin(self, fresh_cache, n_species, max_degree):
+        rng = np.random.default_rng(17)
+        for base, rotated in rotated_twins(n_species, rng):
+            form = fock._weight_form(rotated)[1]
+            assert fock._content_graded(form), base.label
+            for degree in range(max_degree + 1):
+                want = sector_spectrum(base, degree)
+                got = sector_spectrum(rotated, degree)
+                tol = 1e-12 * max(1.0, max_abs(want))
+                assert max_abs(got - want) <= tol, (base.label, degree)
+
+    def test_rotated_kernel_dim_matches_dense_svd(self, fresh_cache):
+        rng = np.random.default_rng(19)
+        for base, rotated in rotated_twins(3, rng):
+            for degree in range(5):
+                assert positivity_report(rotated, degree).kernel_dim == kernel_basis(
+                    gram_matrix(rotated, degree).mat).shape[1], (base.label, degree)
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 6), (3, 5)])
+    def test_rotated_complement_projector_matches_dense_svd(self, fresh_cache, n_species,
+                                                            max_degree):
+        rng = np.random.default_rng(23)
+        for system in braided_systems(n_species):
+            rotated = haar_rotated(system, rng)
+            assert fock._weight_form(rotated)[1] is not rotated
+            for degree in range(max_degree + 1):
+                comp = quotient_sector(rotated, degree).quotient.complement_basis
+                span = ideal_subspace(rotated, degree)
+                assert max_abs(dagger(span) @ comp) <= 1e-12
+                assert max_abs(comp @ dagger(comp)
+                               - dense_complement_projector(rotated, degree)) <= 1e-10, (
+                    system.label, degree)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_generic_system_falls_back_to_one_block(self, fresh_cache, n_species):
+        system = generic_system(n_species, np.random.default_rng(29))
+        w, form = fock._weight_form(system)
+        assert form is system and np.array_equal(w, np.eye(n_species))
+        for degree in range(5 if n_species == 2 else 4):
+            assert word_blocks(system, degree) == (slice(0, n_species**degree),)
+            gram = gram_matrix(system, degree).mat
+            full = np.linalg.eigvalsh(gram)
+            assert max_abs(sector_spectrum(system, degree) - full) <= 1e-12 * max(
+                1.0, max_abs(full))
+            assert positivity_report(system, degree).kernel_dim == kernel_basis(
+                gram).shape[1]
+            comp = quotient_sector(system, degree).quotient.complement_basis
+            assert max_abs(comp @ dagger(comp)
+                           - dense_complement_projector(system, degree)) <= 1e-10
+
+    def test_rotated_cross_breaking_star_law_is_not_hermitian(self, fresh_cache):
+        qmat = np.array([[0.3, 0.5], [0.2, -0.4]])  # q_12 != conj(q_21)
+        t4 = np.zeros((2, 2, 2, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                t4[j, i, i, j] = qmat[i, j]
+        base = StatisticsSystem(cross=CrossOperator(t4.reshape(4, 4)), label="non-star")
+        rotated = haar_rotated(base, np.random.default_rng(31))
+        assert not check_star(rotated.cross)[0]
+        assert fock._weight_form(rotated)[1] is not rotated
+        for system in (base, rotated):
+            with pytest.raises(NotHermitian):
+                sector_spectrum(system, 2)
+
+    @pytest.mark.parametrize("n_species,degree", [(2, 8), (3, 5)])
+    def test_rotated_blocks_stay_within_content_blocks(self, fresh_cache, monkeypatch,
+                                                       n_species, degree):
+        sizes = []
+        real = fock.hermitian_spectrum
+
+        def spy(block, *args, **kwargs):
+            sizes.append(block.shape[0])
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "hermitian_spectrum", spy)
+        largest = max(len(block) for block in content_blocks(n_species, degree))
+        rng = np.random.default_rng(37)
+        for _, rotated in rotated_twins(n_species, rng):
+            sizes.clear()
+            sector_spectrum(rotated, degree)
+            assert len(sizes) == len(content_blocks(n_species, degree))
+            assert max(sizes) <= largest < n_species**degree
+
+    @pytest.mark.parametrize("n_species,degree", [(1, 3), (2, 4), (3, 3)])
+    def test_tensor_power_applies_one_factor_at_a_time(self, n_species, degree):
+        rng = np.random.default_rng(41)
+        w = haar_unitary(rng, n_species)
+        mat = rng.standard_normal((n_species**degree, 5)) + 0j
+        power = np.ones((1, 1))
+        for _ in range(degree):
+            power = np.kron(power, w)
+        assert max_abs(fock._apply_tensor_power(w, mat, degree) - power @ mat) <= 1e-13
+
+
 class TestKernelGeneration:
     """The Gram kernel of sector n is the degree-n ideal of ker(id + Ttilde).
 
@@ -517,6 +640,11 @@ class TestIdealAndQuotient:
             span = ideal_subspace(fermion2, degree)
             if span.shape[1]:
                 assert max_abs(proj @ span) <= EPS
+
+    def test_projector_is_built_on_first_use(self, fermion2):
+        quotient = quotient_sector(fermion2, 3).quotient
+        assert "projector" not in vars(quotient)
+        assert quotient.projector is quotient.projector
 
     def test_quotient_gram_positive_definite(self):
         for name in ("boson", "fermion"):

@@ -4,25 +4,35 @@ import numpy as np
 import pytest
 
 from wickforge.catalog import make_preset
-from wickforge.errors import DimensionMismatch
+from wickforge.errors import DimensionMismatch, SizeLimit
 from wickforge.linalg import dagger, max_abs
 from wickforge.operators import (
+    OPERATOR_CAP,
+    ROUNDING,
     BraidOperator,
     CrossOperator,
     StatisticsSystem,
     build_ttilde,
+    change_basis,
+    check_operator_dim,
     check_braid,
     check_consistency,
     check_star,
     check_yang_baxter,
     dump_system,
     flip_matrix,
+    graded_part,
+    is_graded,
     load_system,
+    preserves_content,
+    symmetry_generators,
     system_from_dict,
     system_to_dict,
     validate_system,
+    weight_basis,
 )
 
+from conftest import haar_rotated, haar_unitary, multi_q, twisted_ccr
 from oracles import ttilde_inverse_oracle, ttilde_oracle
 
 EPS = 1e-9
@@ -245,6 +255,141 @@ class TestBasisChangeInvariance:
         assert not base.passed and not rotated.passed
         for c_base, c_rot in zip(base.checks, rotated.checks):
             assert c_base.status == c_rot.status
+
+
+def random_phase(rng: np.random.Generator, n_species: int) -> StatisticsSystem:
+    upper = np.triu(rng.uniform(-np.pi, np.pi, (n_species, n_species)), 1)
+    return make_preset("phase", n_species, phi=upper - upper.T)
+
+
+def rotated_battery(n_species: int, rng: np.random.Generator) -> list[StatisticsSystem]:
+    """Haar-rotated multi-q, twisted CCR and phase systems: graded in some other basis."""
+    bases = [multi_q(n_species, rng), twisted_ccr(n_species, 0.6),
+             make_preset("phase", n_species, phi=np.pi / 3), random_phase(rng, n_species)]
+    return [haar_rotated(base, rng) for base in bases]
+
+
+def star_cross(rng: np.random.Generator, n_species: int) -> CrossOperator:
+    """A generic T satisfying the star law T^{ij}_{kl} = conj(T^{ji}_{lk})."""
+    t4 = random_cross(rng, n_species).tensor()
+    return CrossOperator((t4 + t4.transpose(1, 0, 3, 2).conj()).reshape(
+        n_species**2, n_species**2) / 4)
+
+
+def operator_scale(system: StatisticsSystem) -> float:
+    braid = 0.0 if system.braid is None else max_abs(system.braid.mat)
+    return max(1.0, max_abs(system.cross.mat), braid)
+
+
+def unitary_from(herm: np.ndarray, theta: float) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(herm)
+    return vecs @ np.diag(np.exp(1j * theta * vals)) @ dagger(vecs)
+
+
+class TestWeightBasis:
+    def test_change_basis_matches_index_formula(self):
+        # change_basis takes the new basis vectors as columns; the index
+        # formula of _transform_cross contracts its unitary by rows.
+        rng = np.random.default_rng(53)
+        for n_species in (2, 3):
+            system = random_phase(rng, n_species)
+            unitary = haar_unitary(rng, n_species)
+            moved = change_basis(system, unitary.T)
+            assert max_abs(moved.cross.mat
+                           - _transform_cross(system.cross, unitary).mat) <= 1e-14
+            assert max_abs(moved.braid.mat
+                           - _transform_braid(system.braid, unitary).mat) <= 1e-14
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_rotated_systems_have_a_rank_n_torus_and_are_regraded(self, n_species):
+        rng = np.random.default_rng(59)
+        for system in rotated_battery(n_species, rng):
+            assert not is_graded(system.cross), system.label
+            gens = symmetry_generators(system)
+            assert gens.shape == (n_species, n_species, n_species), system.label
+            gram = np.einsum("aij,bij->ab", gens.conj(), gens).real
+            assert max_abs(gram - np.eye(n_species)) <= 1e-12
+            assert max_abs(gens - gens.conj().transpose(0, 2, 1)) <= 1e-15
+            w = weight_basis(system)
+            assert max_abs(dagger(w) @ w - np.eye(n_species)) <= 1e-13
+            graded, dropped = graded_part(change_basis(system, w))
+            assert dropped <= ROUNDING * operator_scale(system), (system.label, dropped)
+            assert is_graded(graded.cross)
+            assert graded.braid is None or preserves_content(graded.braid)
+
+    def test_crowded_weights_are_separated(self):
+        # In this basis the projection of diag(1, 2, 3) onto the torus has two
+        # eigenvalues about 3e-5 apart, and its eigenvectors alone mix the
+        # weight vectors far above rounding (a drop of about 4e-11).
+        rng = np.random.default_rng(7)
+        while True:
+            unitary = haar_unitary(rng, 3)
+            weights = np.sort((np.abs(unitary) ** 2).T @ np.arange(1.0, 4))
+            if np.min(np.diff(weights)) < 3e-5:
+                break
+        system = change_basis(twisted_ccr(3, 0.6), unitary)
+        dropped = graded_part(change_basis(system, weight_basis(system)))[1]
+        assert dropped <= ROUNDING * operator_scale(system)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_generators_are_finite_symmetries(self, n_species):
+        # An independent route to the slot signs: exp(i theta X) leaves T and
+        # B unchanged, a Hermitian X outside the span moves them.
+        rng = np.random.default_rng(61)
+        for system in rotated_battery(n_species, rng):
+            for gen in symmetry_generators(system):
+                moved = change_basis(system, unitary_from(gen, 0.7))
+                assert max_abs(moved.cross.mat - system.cross.mat) <= 1e-12
+                if system.braid is not None:
+                    assert max_abs(moved.braid.mat - system.braid.mat) <= 1e-12
+            other = rng.standard_normal((n_species, n_species)) * (1 + 1j)
+            moved = change_basis(system, unitary_from(other + dagger(other), 0.7))
+            assert max_abs(moved.cross.mat - system.cross.mat) > 1e-3, system.label
+
+    @pytest.mark.parametrize("n_species", [1, 2, 3])
+    def test_graded_systems_keep_the_standard_basis(self, n_species):
+        rng = np.random.default_rng(67)
+        for system in (multi_q(n_species, rng), twisted_ccr(n_species, 0.6),
+                       random_phase(rng, n_species)):
+            gens = symmetry_generators(system)
+            assert len(gens) == n_species, system.label
+            assert max_abs(gens - np.einsum("aii,ij->aij", gens, np.eye(n_species))) <= 1e-14
+            assert max_abs(weight_basis(system) - np.eye(n_species)) <= 1e-14
+
+    def test_full_unitary_symmetry(self):
+        for n_species in (2, 3):
+            system = make_preset("boson", n_species)
+            assert len(symmetry_generators(system)) == n_species**2
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_generic_cross_has_only_the_phase_symmetry(self, n_species):
+        rng = np.random.default_rng(71)
+        system = StatisticsSystem(cross=star_cross(rng, n_species), label="generic")
+        gens = symmetry_generators(system)
+        assert len(gens) == 1
+        assert max_abs(gens[0] * np.sqrt(n_species) - np.sign(gens[0, 0, 0])
+                       * np.eye(n_species)) <= 1e-12
+        dropped = graded_part(change_basis(system, weight_basis(system)))[1]
+        assert dropped > 1e-3
+
+
+class TestOperatorSizeRule:
+    def test_cap_bounds_n_to_the_fourth(self):
+        check_operator_dim(17)
+        assert 17**4 <= OPERATOR_CAP < 18**4
+        with pytest.raises(SizeLimit):
+            check_operator_dim(18)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_preset("boson", 1000),
+        lambda: make_preset("phase", 10**6, phi=0.5),
+        lambda: system_from_dict({"dim": 1000, "cross": [], "braid": None}),
+        lambda: CrossOperator.from_entries(10**4, []),
+    ], ids=["preset", "phase-preset", "file", "entries"])
+    def test_checked_before_allocation(self, build):
+        # An N^4 allocation at these sizes would raise MemoryError instead.
+        with pytest.raises(SizeLimit, match="cap"):
+            build()
 
 
 class TestOperatorFile:
