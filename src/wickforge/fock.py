@@ -230,6 +230,50 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     return _annihilation_level(system, n)[i - 1]
 
 
+def _annihilate_placed(
+    system: StatisticsSystem, m: int, row: int, block: np.ndarray | None, floor: int
+) -> np.ndarray:
+    """Every ``A_l`` applied to a column block placed in sector m, as an (N, N^(m-1), c) stack.
+
+    The block (``None``: the identity on sector ``floor``, which creation
+    only ever places at a multiple of ``N^floor``) fills rows ``row, row + 1,
+    ...`` of sector m; the other rows are zero.  At degrees
+    ``m <= floor`` the cached dense level is read on those columns.  Above
+    ``floor`` the one-step recursion acts instead: the rows are split by
+    first letter j, each live tail is annihilated one degree down, and
+    ``A_i`` collects ``delta_ij tail + sum T^{ij}_{kl} e_k (x) A_l(tail)``.
+    No level above ``floor`` is built.
+    """
+    n_sp = system.dim
+    height = _sector_dim(n_sp, floor) if block is None else block.shape[0]
+    if m <= floor:
+        cols = slice(row, row + height)
+        return np.stack([level[:, cols] if block is None else level[:, cols] @ block
+                         for level in _annihilation_level(system, m)])
+    size = _sector_dim(n_sp, m - 1)
+    first, last = row // size, (row + height - 1) // size
+    out = np.zeros((n_sp, size, height if block is None else block.shape[1]), dtype=complex)
+    t4 = system.cross.tensor()
+    for j0 in range(first, last + 1):
+        lo, hi = max(row, j0 * size), min(row + height, (j0 + 1) * size)
+        part = None if block is None else block[lo - row:hi - row]
+        if part is not None and not part.any():
+            continue
+        tail = lo - j0 * size
+        if part is None:
+            diag = np.arange(height)
+            out[j0, tail + diag, diag] = 1.0
+        else:
+            out[j0, tail:tail + part.shape[0]] += part
+        if m == 1:
+            continue
+        inner = _annihilate_placed(system, m - 1, tail, part, floor)
+        blk = size // n_sp
+        for k0, l0, i0 in zip(*np.nonzero(t4[..., j0])):
+            out[i0, k0 * blk:(k0 + 1) * blk] += t4[k0, l0, i0, j0] * inner[l0]
+    return out
+
+
 def _submatrix(mat: np.ndarray, rows, cols) -> np.ndarray:
     """``mat`` on the given rows and columns; a view when both are slices."""
     if isinstance(rows, slice):

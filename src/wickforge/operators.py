@@ -19,7 +19,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatch, SizeLimit
-from .linalg import as_matrix, dagger, eye, kron, max_abs, operator_norm, resolve_eps
+from .linalg import as_matrix, dagger, eye, max_abs, operator_norm, resolve_eps
 
 #: Relative size of rounding in the operator-level computations of
 #: :func:`weight_basis`: singular values and dropped entries at or below
@@ -376,12 +376,42 @@ def check_yang_baxter(ttilde: np.ndarray, eps: float | None = None) -> tuple[boo
     return residual <= eps, residual
 
 
+#: Entries of one column chunk in :func:`_three_slot_residual` (16 MB complex).
+_CHUNK_ENTRIES = 2**20
+
+
+def _three_slot_residual(n: int, lhs, rhs) -> float:
+    """Largest entry of ``L - R`` for two products of two-slot operators on E^(x)3.
+
+    ``lhs`` and ``rhs`` list ``(t4, first)`` factors in the order they act:
+    ``t4[k, l, i, j]`` maps slots ``(first, first + 1)`` from ``(i, j)`` to
+    ``(k, l)``, which is ``t4 (x) 1`` for first 0 and ``1 (x) t4`` for first 1.
+    The factors act by ``tensordot`` on chunks of columns of the N^3
+    identity, so no N^3 x N^3 matrix is formed.
+    """
+    dim = n**3
+    width = max(1, _CHUNK_ENTRIES // dim)
+    worst = 0.0
+    for start in range(0, dim, width):
+        cols = np.arange(start, min(start + width, dim))
+        basis = np.zeros((dim, cols.size), dtype=complex)
+        basis[cols, cols - start] = 1.0
+        sides = []
+        for factors in (lhs, rhs):
+            x = basis.reshape(n, n, n, -1)
+            for t4, first in factors:
+                x = np.tensordot(t4, x, axes=([2, 3], [first, first + 1]))
+                x = np.moveaxis(x, (0, 1), (first, first + 1))
+            sides.append(x)
+        worst = max(worst, max_abs(sides[0] - sides[1]))
+    return worst
+
+
 def _braid_residual(m: np.ndarray) -> float:
+    """Largest entry of ``M1 M2 M1 - M2 M1 M2`` with ``M1 = m (x) 1``, ``M2 = 1 (x) m``."""
     n = round(m.shape[0] ** 0.5)
-    ident = eye(n)
-    m1 = kron(m, ident)
-    m2 = kron(ident, m)
-    return max_abs(m1 @ m2 @ m1 - m2 @ m1 @ m2)
+    m4 = m.reshape(n, n, n, n)
+    return _three_slot_residual(n, [(m4, 0), (m4, 1), (m4, 0)], [(m4, 1), (m4, 0), (m4, 1)])
 
 
 def check_consistency(
@@ -399,12 +429,10 @@ def check_consistency(
             f"cross dim {cross.dim} != braid dim {braid.dim}"
         )
     n = cross.dim
-    ident = eye(n)
-    t1 = kron(cross.mat, ident)   # T on slots 1,2 of E*  (x) E (x) E
-    t2 = kron(ident, cross.mat)   # T on slots 2,3 after the first cross
-    b1 = kron(braid.mat, ident)   # B on slots 1,2 of E (x) E (x) E*
-    b2 = kron(ident, braid.mat)   # B on slots 2,3 of E* (x) E (x) E
-    r1 = max_abs(b1 @ t2 @ t1 - t2 @ t1 @ b2)
+    t4, b4 = cross.tensor(), braid.tensor()
+    # T(1) on slots 1,2 of E* (x) E (x) E, then T(2) on slots 2,3; B(2) on
+    # slots 2,3 of E* (x) E (x) E, B(1) on slots 1,2 of E (x) E (x) E*.
+    r1 = _three_slot_residual(n, [(t4, 0), (t4, 1), (b4, 0)], [(b4, 1), (t4, 0), (t4, 1)])
     p2 = eye(n * n) + build_ttilde(cross)
     r2 = max_abs(p2 @ (eye(n * n) - braid.mat))
     return (r1 <= eps and r2 <= eps), (r1, r2)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExpressionSyntaxError, SpeciesOutOfRange
-from .fock import _sector_dim, annihilation_matrix, creation_rows
+from .fock import _annihilate_placed, _sector_dim, annihilation_matrix, creation_rows
 from .linalg import DEFAULT_EPS, max_abs, resolve_eps
 from .operators import CheckResult, StatisticsSystem, ValidationReport
 
@@ -487,12 +487,15 @@ def evaluation_blocks(
     below zero annihilate and contribute zeros; terms whose final degree is
     negative are dropped entirely.
 
-    A term's trailing annihilators act first, as one product that is computed
-    once per call: the terms ``c_w a_v`` of a normal form that share ``a_v``
-    reuse it.  Creation only moves the running block to a row block of the
-    next sector (:func:`~wickforge.fock.creation_rows`); an annihilator after
-    it reads the matching columns of its matrix, and the term is added in
-    place to the rows of its target block.
+    A term's trailing annihilators act first, as one product of dense levels
+    of degree at most n that is computed once per call: the terms
+    ``c_w a_v`` of a normal form that share ``a_v`` reuse it.  Creation only
+    moves the running block to a row block of the next sector
+    (:func:`~wickforge.fock.creation_rows`).  An annihilator after it acts on
+    the placed block by the one-step recursion down to degree n, where it
+    reads the matching columns of the cached level, so no level above
+    sector n is built.  The term is added in place to the rows of its target
+    block.
     """
     n_sp = system.dim
     dim_in = _sector_dim(n_sp, n)
@@ -538,9 +541,7 @@ def evaluation_blocks(
                 continue
             if degree == 0:
                 break
-            ann = annihilation_matrix(system, gen.species, degree)
-            cols = ann[:, row:row + (dim_in if mat is None else mat.shape[0])]
-            mat = cols if mat is None else cols @ mat
+            mat = _annihilate_placed(system, degree, row, mat, n)[gen.species - 1]
             degree, row = degree - 1, 0
         else:
             if mat is None:
@@ -560,12 +561,13 @@ def _psi_action_residual(
     fock_system: StatisticsSystem,
     max_degree: int,
 ) -> float:
-    """Worst gap between symbolic normal ordering and the sector recursion.
+    """Worst gap of two routes to ``a(i) c(j1) ... c(jm) |0>`` from the dense level.
 
-    Normal-orders ``a(i) c(j1) ... c(jm)`` letter by letter with
-    ``rewrite_system``, applies the result to the vacuum, and compares with
-    the annihilation matrix column of ``fock_system`` (the whole-product
-    action).  Separating the two systems lets tests break one route.
+    The reference is the annihilation matrix column of ``fock_system``.  One
+    route normal-orders the word letter by letter with ``rewrite_system`` and
+    applies the result to the vacuum; the other evaluates the word itself on
+    the vacuum, where ``a(i)`` acts by the one-step recursion and reads no
+    dense level.  Separating the two systems lets tests break one route.
     """
     n_sp = fock_system.dim
     worst = 0.0
@@ -578,10 +580,11 @@ def _psi_action_residual(
                 word = (Generator("a", i),) + tuple(
                     Generator("c", j) for j in letters
                 )
-                nf = normal_order(OperatorExpression({word: 1.0}), rewrite_system)
-                blocks = evaluation_blocks(nf, fock_system, 0)
-                got = blocks[m - 1][:, 0] if m - 1 in blocks else 0.0
-                worst = max(worst, max_abs(got - direct[:, col]))
+                expr = OperatorExpression({word: 1.0})
+                for form in (normal_order(expr, rewrite_system), expr):
+                    blocks = evaluation_blocks(form, fock_system, 0)
+                    got = blocks[m - 1][:, 0] if m - 1 in blocks else 0.0
+                    worst = max(worst, max_abs(got - direct[:, col]))
     return worst
 
 
@@ -619,7 +622,7 @@ def check_cross_symmetry_axioms(
     checks = (
         CheckResult(
             "psi_action", "pass" if psi_res <= eps else "fail", psi_res,
-            "symbolic normal ordering matches the sector recursion",
+            "normal ordering and the one-step recursion match the dense levels",
         ),
         CheckResult(
             "star_axiom", "pass" if star_res <= eps else "fail", star_res,

@@ -195,6 +195,86 @@ class TestAnnihilationMatrix:
                     assert max_abs(got - oracle) <= 1e-12, (system.label, n, i)
 
 
+def placed_references(system, m, row, block, height=None):
+    """Dense ``A_l`` of sector m on ``block`` (None: an identity) placed at ``row``, over l."""
+    cols = slice(row, row + (height if block is None else block.shape[0]))
+    levels = [annihilation_matrix(system, l, m)[:, cols] for l in range(1, system.dim + 1)]
+    return np.stack(levels if block is None else [level @ block for level in levels])
+
+
+def assert_close(got, ref, what):
+    assert got.shape == ref.shape, what
+    assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref)), what
+
+
+class TestPlacedAnnihilation:
+    """The one-step recursion above the floor against the dense levels and the word oracle."""
+
+    @staticmethod
+    def systems(n_species):
+        rng = np.random.default_rng(29)
+        systems = graded_systems(n_species)
+        return systems + [haar_rotated(systems[-1], rng), haar_rotated(systems[6], rng)]
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
+    def test_identity_at_every_prefix_offset(self, fresh_cache, n_species, max_degree):
+        for system in self.systems(n_species):
+            for m in range(1, max_degree + 1):
+                floors = {m - 1, m // 2} | ({0} if n_species**m <= 81 else set())
+                for floor in floors:
+                    height = n_species**floor
+                    for row in range(0, n_species**m, height):
+                        got = fock._annihilate_placed(system, m, row, None, floor)
+                        ref = placed_references(system, m, row, None, height)
+                        assert_close(got, ref, (system.label, m, floor, row))
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
+    def test_dense_and_partly_zero_blocks(self, fresh_cache, n_species, max_degree):
+        rng = np.random.default_rng(31)
+        for system in self.systems(n_species):
+            for m in range(1, max_degree + 1):
+                dim = n_species**m
+                for floor in sorted({0, m // 2, m - 1, m}):
+                    # a dense block of any height at any offset, straddling first letters
+                    height = int(rng.integers(1, dim + 1))
+                    row = int(rng.integers(0, dim - height + 1))
+                    dense = (rng.standard_normal((height, 3))
+                             + 1j * rng.standard_normal((height, 3)))
+                    # the whole sector with some first-letter blocks exactly zero
+                    sparse = rng.standard_normal((dim, 2)) + 0j
+                    size = dim // n_species
+                    dead = rng.choice(n_species, int(rng.integers(1, n_species)), replace=False)
+                    for j0 in dead:
+                        sparse[j0 * size:(j0 + 1) * size] = 0
+                    sparse[:size // 2] = 0
+                    for row_b, block in ((row, dense), (0, sparse)):
+                        got = fock._annihilate_placed(system, m, row_b, block, floor)
+                        ref = placed_references(system, m, row_b, block)
+                        assert_close(got, ref, (system.label, m, floor, row_b))
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
+    def test_matches_word_oracle(self, fresh_cache, n_species, max_degree):
+        rng = np.random.default_rng(37)
+        for system in self.systems(n_species):
+            t4 = system.cross.tensor()
+            # the oracle walks every rewrite path: keep dense-T paths short
+            top = max_degree if is_graded(system.cross) else max_degree - 5 + n_species
+            for m in range(1, top + 1):
+                for word_offset in rng.choice(n_species**m, 3):
+                    word = sector_basis(n_species, m).basis[word_offset]
+                    got = fock._annihilate_placed(system, m, int(word_offset), None, 0)
+                    for l in range(1, n_species + 1):
+                        ref = np.zeros(n_species ** (m - 1), dtype=complex)
+                        for tail, c in annihilate_word(t4, l, word).items():
+                            ref[word_index(tail, n_species)] += c
+                        assert_close(got[l - 1, :, 0], ref, (system.label, m, word, l))
+
+    def test_builds_no_level_above_the_floor(self, fresh_cache, boson2):
+        fock._annihilate_placed(boson2, 8, 5, np.ones((3, 2)), 2)
+        built = {key[2] for key in fock._CACHE if key[0] == "annlev"}
+        assert built and max(built) <= 2
+
+
 class TestGramMatrix:
     def test_vacuum_normalization(self, boson2):
         assert np.array_equal(gram_matrix(boson2, 0).mat, [[1.0]])

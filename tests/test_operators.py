@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wickforge import operators
 from wickforge.catalog import make_preset
 from wickforge.errors import DimensionMismatch, SizeLimit
 from wickforge.linalg import dagger, max_abs
@@ -33,7 +34,7 @@ from wickforge.operators import (
 )
 
 from conftest import haar_rotated, haar_unitary, multi_q, twisted_ccr
-from oracles import ttilde_inverse_oracle, ttilde_oracle
+from oracles import kron_oracle, ttilde_inverse_oracle, ttilde_oracle
 
 EPS = 1e-9
 
@@ -168,6 +169,29 @@ class TestCheckConsistency:
         with pytest.raises(DimensionMismatch):
             check_consistency(CrossOperator(flip_matrix(2)),
                               BraidOperator(flip_matrix(3)))
+
+
+class TestThreeSlotResiduals:
+    """The three-fold laws applied slot by slot equal the Kronecker-product residuals."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [2**20, 5], ids=["one-chunk", "many-chunks"])
+    def test_match_kronecker_products(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk * n**3)
+        rng = np.random.default_rng(43 + n)
+        ident = np.eye(n)
+        for _ in range(3):
+            t, b = (rng.standard_normal((n * n, n * n))
+                    + 1j * rng.standard_normal((n * n, n * n)) for _ in range(2))
+            t1, t2 = kron_oracle(t, ident), kron_oracle(ident, t)
+            b1, b2 = kron_oracle(b, ident), kron_oracle(ident, b)
+            for got, ref in (
+                (check_braid(BraidOperator(b))[1], max_abs(b1 @ b2 @ b1 - b2 @ b1 @ b2)),
+                (check_yang_baxter(t)[1], max_abs(t1 @ t2 @ t1 - t2 @ t1 @ t2)),
+                (check_consistency(CrossOperator(t), BraidOperator(b))[1][0],
+                 max_abs(b1 @ t2 @ t1 - t2 @ t1 @ b2)),
+            ):
+                assert abs(got - ref) <= 1e-12 * max(1.0, ref)
 
 
 class TestValidateSystem:

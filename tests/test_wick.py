@@ -450,6 +450,30 @@ class TestReferences:
         assert blocks_residual(got, dense_blocks(expr, twisted2, 2)) <= 1e-12
 
 
+class TestEvaluationMemory:
+    """Annihilators above the input sector act by the recursion, not by dense levels."""
+
+    @pytest.mark.parametrize("text,system", [
+        ("a(1) a(2) c(2) c(3)", make_preset("phase", 3, phi=phase_phi(3, np.pi / 3))),
+        ("a(1) a(2) c(2) c(3)", haar_rotated(twisted_ccr(3, 0.7), np.random.default_rng(7))),
+        ("a(1) a(1) a(1) a(1) c(1) c(1) c(1) c(1)", twisted_ccr(2, 0.6)),
+        ("a(1) a(1) a(1) a(1) c(1) c(1) c(1) c(1) + c(2) a(1) c(1) a(2) a(2) c(1)",
+         haar_rotated(twisted_ccr(2, 0.6), np.random.default_rng(11))),
+    ], ids=["phase3", "rotated-twisted3", "twisted2", "rotated-twisted2"])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_no_level_above_the_input_sector(self, fresh_cache, text, system, n):
+        expr = parse_expression(text, system.dim)
+        for form in (expr, normal_order(expr, system)):
+            fock.clear_cache()
+            got = evaluation_blocks(form, system, n)
+            built = {key[2] for key in fock._CACHE if key[0] == "annlev"}
+            assert max(built, default=0) <= n, sorted(built)
+            ref = dense_blocks(form, system, n)
+            assert set(got) == set(ref)
+            scale = max(1.0, *(max_abs(block) for block in ref.values()))
+            assert blocks_residual(got, ref) <= 1e-12 * scale
+
+
 class TestCrossSymmetryAxioms:
     @pytest.mark.parametrize("name,kwargs,degree", [
         ("boson", {}, 2),
