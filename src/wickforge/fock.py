@@ -45,6 +45,10 @@ from .operators import (
 #: Hard ceiling on sector dimension N^n; exceeding it raises SizeLimit.
 SECTOR_CAP = 100_000
 
+#: Hard ceiling on the entries of one dense matrix built from sectors (256 MiB
+#: of complex entries); exceeding it raises SizeLimit.
+ENTRY_CAP = 2**24
+
 Word = tuple[int, ...]
 
 _CACHE_LOCK = threading.Lock()
@@ -74,6 +78,18 @@ def _sector_dim(n_species: int, n: int) -> int:
     if dim > SECTOR_CAP:
         raise SizeLimit(f"sector dimension {dim} exceeds cap {SECTOR_CAP}")
     return dim
+
+
+def _check_entries(rows: int, cols: int, what: str) -> None:
+    """The size rule for one dense matrix built from sectors, raising SizeLimit above the cap.
+
+    Checked before allocating the matrices whose size a sector does not bound
+    by itself: annihilation slices, Gram blocks, the per-block generator
+    stack and the scattered ideal bases, and the target blocks and placed
+    annihilation stacks of :func:`~wickforge.wick.evaluation_blocks`.
+    """
+    if rows * cols > ENTRY_CAP:
+        raise SizeLimit(f"{what} of {rows} x {cols} entries exceeds cap {ENTRY_CAP}")
 
 
 def _check_species(system: StatisticsSystem, i: int) -> None:
@@ -194,31 +210,56 @@ def creation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     return mat
 
 
-def _annihilation_level(system: StatisticsSystem, m: int) -> tuple[np.ndarray, ...]:
-    """Annihilation matrices for every species at degree m (maps m -> m-1)."""
-    key = ("annlev", system.content_key, m)
+def _annihilation_slices(
+    system: StatisticsSystem, m: int, by_content: bool
+) -> tuple[tuple[np.ndarray | None, ...], ...]:
+    """Per word block c of sector m >= 1 (:func:`_partition`): ``A_i[c - e_i, c]`` at index i0.
+
+    Letters that c lacks get None.  The rows of a slice are the block c - e_i
+    of sector m-1 that the head of letter i names, its columns the words of
+    c.  The recursion builds it from the slices of degree m-1: the identity
+    on column run i, plus ``T^{ij}_{kl}`` times slice l of block c - e_j in
+    row run k and column run j, for every nonzero of T.  The terms of an
+    entry are added in the order of ``np.nonzero(T)``, delta first, so the
+    slices of the whole-sector partition are the dense levels, entry for
+    entry.  The content partition needs T graded: then row run k of block
+    c - e_i holds exactly the rows of slice l of block c - e_j.
+    """
+    key = ("annihilation", system.content_key, m, by_content)
     cached = _cache_get(key)
     if cached is not None:
         return cached
     n_sp = system.dim
-    dim_out = _sector_dim(n_sp, m - 1)
-    mats = tuple(np.zeros((dim_out, _sector_dim(n_sp, m)), dtype=complex)
-                 for _ in range(n_sp))
-    # The delta term: the identity on column block i of A_i.
-    diag = np.arange(dim_out)
-    for i0, mat in enumerate(mats):
-        mat[diag, i0 * dim_out + diag] = 1.0
+    heads = _partition(n_sp, m, by_content)[1]
+    for runs in heads:  # refused before the recursion builds anything
+        for _, lo, hi in runs.values():
+            _check_entries(hi - lo, _block_size(runs), "annihilation slice")
+    terms: dict[tuple[int, int], list] = {}
     if m > 1:
-        # The T term: T^{ij}_{kl} A_l in block (k, j) of A_i, for every nonzero.
-        prev = _annihilation_level(system, m - 1)
-        blk = _sector_dim(n_sp, m - 2)
+        prev = _annihilation_slices(system, m - 1, by_content)
+        prev_heads = _partition(n_sp, m - 1, by_content)[1]
         t4 = system.cross.tensor()
-        for k0, l0, i0, j0 in zip(*np.nonzero(t4)):
-            mats[i0][k0 * blk:(k0 + 1) * blk, j0 * dim_out:(j0 + 1) * dim_out] += (
-                t4[k0, l0, i0, j0] * prev[l0])
-    for mat in mats:
-        mat.setflags(write=False)
-    return _cache_put(key, mats)
+        for k0, l0, i0, j0 in zip(*(idx.tolist() for idx in np.nonzero(t4))):
+            terms.setdefault((i0, j0), []).append((k0, l0, t4[k0, l0, i0, j0]))
+    out = []
+    for runs in heads:
+        slices = [None] * n_sp
+        for i0, (_, lo, hi) in runs.items():
+            slices[i0] = np.zeros((hi - lo, _block_size(runs)), dtype=complex)
+            diag = np.arange(hi - lo)
+            slices[i0][diag, lo + diag] = 1.0
+        for i0, (p_i, _, _) in runs.items():
+            for j0, (p_j, lo, hi) in runs.items():
+                for k0, l0, coeff in terms.get((i0, j0), ()):
+                    rows, below = prev_heads[p_i], prev[p_j]
+                    if k0 in rows and below[l0] is not None:
+                        _, top, bottom = rows[k0]
+                        slices[i0][top:bottom, lo:hi] += coeff * below[l0]
+        for mat in slices:
+            if mat is not None:
+                mat.setflags(write=False)
+        out.append(tuple(slices))
+    return _cache_put(key, tuple(out))
 
 
 def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
@@ -227,7 +268,7 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
     _sector_dim(system.dim, n)
-    return _annihilation_level(system, n)[i - 1]
+    return _annihilation_slices(system, n, False)[0][i - 1]
 
 
 def _annihilate_placed(
@@ -249,10 +290,12 @@ def _annihilate_placed(
     if m <= floor:
         cols = slice(row, row + height)
         return np.stack([level[:, cols] if block is None else level[:, cols] @ block
-                         for level in _annihilation_level(system, m)])
+                         for level in _annihilation_slices(system, m, False)[0]])
     size = _sector_dim(n_sp, m - 1)
     first, last = row // size, (row + height - 1) // size
-    out = np.zeros((n_sp, size, height if block is None else block.shape[1]), dtype=complex)
+    cols = height if block is None else block.shape[1]
+    _check_entries(n_sp * size, cols, "placed annihilation stack")
+    out = np.zeros((n_sp, size, cols), dtype=complex)
     t4 = system.cross.tensor()
     for j0 in range(first, last + 1):
         lo, hi = max(row, j0 * size), min(row + height, (j0 + 1) * size)
@@ -274,13 +317,6 @@ def _annihilate_placed(
     return out
 
 
-def _submatrix(mat: np.ndarray, rows, cols) -> np.ndarray:
-    """``mat`` on the given rows and columns; a view when both are slices."""
-    if isinstance(rows, slice):
-        return mat[rows, cols]
-    return mat[rows[:, None], cols]
-
-
 def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
     """Diagonal blocks of the sector-n Gram matrix on :func:`word_blocks`.
 
@@ -289,6 +325,8 @@ def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
     letter i have their tails in one block c - e_i of sector n-1, and
     ``A_i`` maps block c into it, so block c is the stack over i of
     ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]``, rows in ascending word offset.
+    Only those slices are built (:func:`_annihilation_slices`); when the
+    sector is one block, they are the dense levels.
     """
     key = ("gramblocks", system.content_key, n)
     cached = _cache_get(key)
@@ -297,17 +335,16 @@ def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
     if n == 0:
         blocks = (np.ones((1, 1), dtype=complex),)
     else:
+        by_content = _content_graded(system)
+        heads = _partition(system.dim, n, by_content)[1]
+        for runs in heads:  # refused before the recursion builds anything
+            _check_entries(_block_size(runs), _block_size(runs), "Gram block")
         prev = _gram_blocks(system, n - 1)
-        prev_words = word_blocks(system, n - 1)
-        anns = _annihilation_level(system, n)
-        blocks = tuple(
-            np.vstack([prev[p] @ _submatrix(anns[i0], prev_words[p], cols)
-                       for i0, p in heads])
-            for cols, heads in zip(word_blocks(system, n), _block_heads(system, n))
-        )
+        blocks = [np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
+                  for runs, slices in zip(heads, _annihilation_slices(system, n, by_content))]
     for block in blocks:
         block.setflags(write=False)
-    return _cache_put(key, blocks)
+    return _cache_put(key, tuple(blocks))
 
 
 def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
@@ -332,31 +369,50 @@ def quotient_gram(system: StatisticsSystem, n: int,
     return GramMatrix(n=n, words=(slice(0, q.shape[1]),), blocks=(mat,))
 
 
-def _content_partition(
-    n_species: int, n: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Letter-content blocks of sector n and the block index of every word offset."""
+def _content_partition(n_species: int, n: int) -> tuple:
+    """Letter-content blocks of sector n: (blocks, block of every offset, heads, counts).
+
+    ``counts[b]`` is the letter-count vector of block b.  Blocks are numbered
+    in ascending order of their sorted-letter tuples, which is descending
+    order of the count vectors.  Sector n grows from sector n-1: the word
+    ``x^j (x) w`` has the counts of w plus one letter j, so a table ``step[j0,
+    p]`` (the block of the counts of block p plus letter j0 + 1) gives the
+    block of every offset by one gather per first letter.  ``heads`` are
+    those of :func:`_partition`.
+    """
     key = ("blocks", n_species, n)
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    offsets = np.arange(_sector_dim(n_species, n))
-    letters = offsets[:, None] // n_species ** np.arange(n) % n_species
-    _, content = np.unique(np.sort(letters, axis=1), axis=0, return_inverse=True)
-    content = content.reshape(-1)
-    order = np.argsort(content, kind="stable")
-    starts = np.flatnonzero(np.diff(content[order])) + 1
-    blocks = tuple(np.split(order, starts))
-    for arr in (*blocks, content):
+    _sector_dim(n_species, n)
+    if n == 0:
+        counts = np.zeros((1, n_species), dtype=np.intp)
+        blocks, block_of, heads = (np.zeros(1, dtype=np.intp),), np.zeros(1, dtype=np.intp), ({},)
+    else:
+        prev_blocks, prev_of, _, prev_counts = _content_partition(n_species, n - 1)
+        grown = prev_counts + np.eye(n_species, dtype=np.intp)[:, None, :]
+        neg, step = np.unique(-grown.reshape(-1, n_species), axis=0, return_inverse=True)
+        counts, step = -neg, step.reshape(n_species, -1)
+        block_of = step[:, prev_of].reshape(-1)
+        heads = tuple({} for _ in counts)
+        fill = [0] * len(counts)
+        for j0 in range(n_species):
+            for p, b in enumerate(step[j0].tolist()):
+                size = prev_blocks[p].size
+                heads[b][j0] = (p, fill[b], fill[b] + size)
+                fill[b] += size
+        order = np.argsort(block_of, kind="stable")
+        blocks = tuple(np.split(order, np.cumsum(fill)[:-1]))
+    for arr in (*blocks, block_of, counts):
         arr.setflags(write=False)
-    return _cache_put(key, (blocks, content))
+    return _cache_put(key, (blocks, block_of, heads, counts))
 
 
 def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
     """Word offsets of sector n grouped by letter content, ascending in each group.
 
-    Groups are ordered by their content; together they partition
-    ``range(n_species**n)``.
+    Groups are ordered by their content, ascending as sorted-letter tuples;
+    together they partition ``range(n_species**n)``.
     """
     return _content_partition(n_species, n)[0]
 
@@ -408,6 +464,29 @@ def _apply_tensor_power(w: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
+def _partition(n_species: int, n: int, by_content: bool) -> tuple[tuple, tuple]:
+    """Word blocks of sector n and, per block, its heads ``{j0: (p, lo, hi)}``.
+
+    With ``by_content`` the blocks are the :func:`content_blocks`; otherwise
+    the sector is one block, a plain slice.  A head says that the words of
+    the block beginning with letter j0 + 1 sit at positions ``lo:hi`` of the
+    block (ascending offsets put them in one run), and that their tails are
+    the words of block p of sector n-1, in the same order.
+    """
+    if by_content:
+        blocks, _, heads, _ = _content_partition(n_species, n)
+        return blocks, heads
+    dim = _sector_dim(n_species, n)
+    size = dim // n_species
+    heads = {j0: (0, j0 * size, (j0 + 1) * size) for j0 in range(n_species)} if n else {}
+    return (slice(0, dim),), (heads,)
+
+
+def _block_size(runs: dict) -> int:
+    """Number of words in a block of sector n >= 1, from its heads: the end of the last run."""
+    return max(hi for _, _, hi in runs.values())
+
+
 def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, ...]:
     """The word blocks that the Gram matrix and the ideal slice of sector n live on.
 
@@ -416,31 +495,7 @@ def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, .
     complement are then block-diagonal over them.  Otherwise the sector is one
     block, given as a plain slice so that indexing by it makes no copy.
     """
-    if _content_graded(system):
-        return content_blocks(system.dim, n)
-    return (slice(0, _sector_dim(system.dim, n)),)
-
-
-def _block_heads(
-    system: StatisticsSystem, n: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per block of sector n >= 1: (first letter - 1, block of the tails in sector n-1).
-
-    One pair per first letter that occurs in the block, in ascending order.
-    """
-    n_sp = system.dim
-    if not _content_graded(system):
-        return (tuple((i0, 0) for i0 in range(n_sp)),)
-    size = _sector_dim(n_sp, n - 1)
-    offsets = np.arange(_sector_dim(n_sp, n))
-    blocks, block_of = _content_partition(n_sp, n)
-    parent_of = _content_partition(n_sp, n - 1)[1][offsets % size]
-    # One representative word per (block, first letter), in ascending order.
-    _, first = np.unique(block_of * n_sp + offsets // size, return_index=True)
-    heads = [[] for _ in blocks]
-    for word in first.tolist():
-        heads[block_of[word]].append((word // size, int(parent_of[word])))
-    return tuple(map(tuple, heads))
+    return _partition(system.dim, n, _content_graded(system))[0]
 
 
 def sector_spectrum(
@@ -569,11 +624,12 @@ def _ideal_bases(
         w, form = _weight_form(system)
         gen = eye(n_sp * n_sp) - form.braid.mat
         words = word_blocks(form, n)
-        bases = []
-        for rows in words:
-            offsets = np.arange(dim)[rows]
-            bases.append(span_and_complement(
-                _block_generators(gen, offsets, n_sp, n), offsets.size, eps))
+        offsets = [np.arange(dim)[rows] for rows in words]
+        largest = max(block.size for block in offsets)
+        _check_entries(largest, (n - 1) * largest, "ideal generator stack")
+        _check_entries(dim, dim, "ideal span and complement")
+        bases = [span_and_complement(_block_generators(gen, block, n_sp, n), block.size, eps)
+                 for block in offsets]
         span = _scatter_rows(dim, words, [span_b for span_b, _ in bases])
         comp = _scatter_rows(dim, words, [comp_b for _, comp_b in bases])
         if form is not system:

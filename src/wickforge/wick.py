@@ -27,7 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExpressionSyntaxError, SpeciesOutOfRange
-from .fock import _annihilate_placed, _sector_dim, annihilation_matrix, creation_rows
+from .fock import (
+    _annihilate_placed,
+    _check_entries,
+    _sector_dim,
+    annihilation_matrix,
+    creation_rows,
+)
 from .linalg import DEFAULT_EPS, max_abs, resolve_eps
 from .operators import CheckResult, StatisticsSystem, ValidationReport
 
@@ -522,7 +528,9 @@ def evaluation_blocks(
         if target < 0:
             continue
         if target not in blocks:
-            blocks[target] = np.zeros((_sector_dim(n_sp, target), dim_in), dtype=complex)
+            rows = _sector_dim(n_sp, target)
+            _check_entries(rows, dim_in, "evaluation block")
+            blocks[target] = np.zeros((rows, dim_in), dtype=complex)
         split = len(word)
         while split and word[split - 1].kind == "a":
             split -= 1

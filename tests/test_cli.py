@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wickforge import fock
 from wickforge.cli import main
 from wickforge.operators import dump_system, system_to_dict
 from wickforge.catalog import make_preset
@@ -89,6 +90,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["normal-order", "c(1)", "--preset", "boson", "--dim", "2", "--verify",
+         "--max-sector", "15"],
+        ["gram", "--preset", "boson", "--dim", "2", "--sector", "16", "--quotient"],
+        ["quotient", "--preset", "boson", "--dim", "2", "--max-sector", "16"],
+        ["normal-order", " ".join(["a(1)"] * 6 + ["c(1)"] * 6), "--preset", "boson",
+         "--dim", "2", "--verify", "--max-sector", "10"],
+    ], ids=["verify-target", "gram-quotient", "quotient", "verify-placed"])
+    def test_oversized_dense_matrix_is_size_limit(self, capsys, monkeypatch, argv):
+        # Every sector here is under the sector cap.  A lowered entry cap
+        # makes the small sectors before the first oversized matrix cheap;
+        # tests/test_fock.py::TestEntryCap checks the real cap on these shapes.
+        monkeypatch.setattr(fock, "ENTRY_CAP", 2**16)
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "entries exceeds cap" in err
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--preset", "boson", "--dim", "1000"],

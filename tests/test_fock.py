@@ -8,6 +8,7 @@ from wickforge import fock, wick
 from wickforge.catalog import make_preset
 from wickforge.errors import NoBraid, NotHermitian, NotWellDefined, SizeLimit
 from wickforge.fock import (
+    GramMatrix,
     annihilation_matrix,
     content_blocks,
     creation_matrix,
@@ -123,6 +124,47 @@ class TestSectorCap:
             gram_matrix(boson2, 4)
         with pytest.raises(SizeLimit):
             sector_spectrum(boson2, 4)
+
+
+class TestEntryCap:
+    """Dense matrices that a capped sector does not bound are checked on their own."""
+
+    @pytest.mark.parametrize("module", [fock, wick], ids=lambda m: m.__name__)
+    def test_only_check_entries_reads_the_cap(self, module):
+        tree = ast.parse(inspect.getsource(module))
+        reads = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                 and getattr(node, "id", getattr(node, "attr", None)) == "ENTRY_CAP"]
+        inside = [node for func in tree.body
+                  if isinstance(func, ast.FunctionDef) and func.name == "_check_entries"
+                  for node in ast.walk(func) if node in reads]
+        assert reads == inside
+        assert bool(inside) == (module is fock)
+
+    def test_real_cap_refuses_before_allocating(self, fresh_cache, boson2):
+        # in sectors under SECTOR_CAP, refused before anything of their size is built
+        with pytest.raises(SizeLimit, match="evaluation block of 16384 x 8192"):
+            wick.evaluation_blocks(wick.parse_expression("c(1)", 2), boson2, 13)
+        expr = wick.parse_expression(" ".join(["a(1)"] * 6 + ["c(1)"] * 6), 2)
+        with pytest.raises(SizeLimit, match="placed annihilation stack of 65536 x 1024"):
+            wick.evaluation_blocks(expr, boson2, 10)
+        with pytest.raises(SizeLimit, match="ideal generator stack"):
+            quotient_sector(boson2, 16)
+        with pytest.raises(SizeLimit, match="annihilation slice of 32768 x 65536"):
+            annihilation_matrix(boson2, 1, 16)
+        with pytest.raises(SizeLimit, match="Gram block"):
+            sector_spectrum(boson2, 16)
+        assert not cached_level_degrees(2)
+
+    def test_cap_is_inclusive_and_checked_before_the_build(self, fresh_cache, monkeypatch):
+        # sector 6 of N = 2: a 64 x 64 span and complement
+        fermion = make_preset("fermion", 2)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 64 * 64 - 1)
+        with pytest.raises(SizeLimit, match="ideal span and complement of 64 x 64"):
+            quotient_sector(fermion, 6)
+        assert not any(key[0] == "ideal" for key in fock._CACHE)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 64 * 64)
+        assert quotient_sector(fermion, 6).quotient.dim == 0
 
 
 class TestCreationMatrix:
@@ -271,7 +313,7 @@ class TestPlacedAnnihilation:
 
     def test_builds_no_level_above_the_floor(self, fresh_cache, boson2):
         fock._annihilate_placed(boson2, 8, 5, np.ones((3, 2)), 2)
-        built = {key[2] for key in fock._CACHE if key[0] == "annlev"}
+        built = {key[2] for key in fock._CACHE if key[0] == "annihilation" and not key[3]}
         assert built and max(built) <= 2
 
 
@@ -355,14 +397,19 @@ class TestGrading:
             if np.any(system.cross.mat):  # T = 0 stays graded in every basis
                 assert not is_graded(haar_rotated(system, rng).cross), system.label
 
-    @pytest.mark.parametrize("n_species,degree", [(1, 3), (2, 0), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("n_species,degree",
+                             [(1, 0), (1, 3), (2, 0), (2, 4), (3, 0), (3, 3), (4, 3)])
     def test_blocks_group_words_by_sorted_letters(self, n_species, degree):
         words = sector_basis(n_species, degree).basis
         blocks = content_blocks(n_species, degree)
         assert sorted(np.concatenate(blocks).tolist()) == list(range(len(words)))
+        assert all(np.all(np.diff(block) > 0) for block in blocks)
         contents = [{tuple(sorted(words[idx])) for idx in block} for block in blocks]
         assert all(len(c) == 1 for c in contents)
         assert len(set.union(*contents)) == len(blocks)
+        # documented order, on which the ideal complement's column order rests
+        keys = [c.pop() for c in contents]
+        assert keys == sorted(keys)
 
     @pytest.mark.parametrize("n_species", [2, 3])
     def test_off_block_gram_entries_are_exactly_zero(self, n_species):
@@ -499,6 +546,68 @@ class TestBlockwiseAssembly:
             comp = quotient_sector(mixed, degree).quotient.complement_basis
             assert max_abs(comp @ dagger(comp)
                            - dense_complement_projector(mixed, degree)) <= 1e-10
+
+
+def cached_level_degrees(n_species: int) -> set[int]:
+    """Degrees m >= 2 of every dense N^(m-1) x N^m array anywhere in the Fock cache."""
+    shapes = {(n_species ** (m - 1), n_species**m): m for m in range(2, 17)}
+    found = set()
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            if value.shape in shapes:
+                found.add(shapes[value.shape])
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            walk(list(value.values()))
+        elif isinstance(value, GramMatrix):
+            walk(list(vars(value).values()))
+
+    walk(list(fock._CACHE.values()))
+    return found
+
+
+def level_route_spectrum(system: StatisticsSystem, degree: int) -> np.ndarray:
+    """``sector_spectrum`` with each Gram block read off whole dense levels.
+
+    Block c of G_n stacks ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]`` with the
+    slice cut from ``annihilation_matrix``, on the blocks of the weight form.
+    """
+    form = fock._weight_form(system)[1]
+    grams = (np.ones((1, 1), dtype=complex),)
+    for m in range(1, degree + 1):
+        size = form.dim ** (m - 1)
+        prev_words = [np.arange(size)[rows] for rows in word_blocks(form, m - 1)]
+        blocks = []
+        for rows in word_blocks(form, m):
+            cols = np.arange(form.dim * size)[rows]
+            parts = []
+            for i0 in np.unique(cols // size):
+                tail = cols[cols // size == i0][0] % size
+                p = next(p for p, words in enumerate(prev_words) if tail in words)
+                level = annihilation_matrix(form, int(i0) + 1, m)
+                parts.append(grams[p] @ level[np.ix_(prev_words[p], cols)])
+            blocks.append(np.vstack(parts))
+        grams = blocks
+    scale = max(max_abs(block) for block in grams)
+    return np.sort(np.concatenate([fock.hermitian_spectrum(block, EPS, scale=scale)
+                                   for block in grams]))
+
+
+class TestGramMemory:
+    """The Gram path builds annihilation slices per block, never a whole-sector level."""
+
+    @pytest.mark.parametrize("n_species,degree", [(2, 8), (3, 5)])
+    def test_builds_no_whole_sector_level(self, fresh_cache, n_species, degree):
+        rng = np.random.default_rng(43)
+        for base in graded_systems(n_species):
+            for system in (base, haar_rotated(base, rng)):
+                fock.clear_cache()
+                got = sector_spectrum(system, degree)
+                assert not cached_level_degrees(n_species), system.label
+                assert np.array_equal(got, level_route_spectrum(system, degree)), system.label
 
 
 def rotated_twins(n_species: int, rng: np.random.Generator):
