@@ -156,9 +156,9 @@ def _cmd_quotient(args) -> int:
     system = _resolve_system(args)
     eps = resolve_eps(args.eps)
     sectors = []
-    all_ok = True
-    for n in _sectors_upto(args.max_sector):
-        qdim = quotient_sector(system, n, eps).quotient.dim
+    # The top sector first: an oversized range is refused before the smaller
+    # sectors are computed.
+    for n in reversed(_sectors_upto(args.max_sector)):
         well = True
         detail = ""
         for i in range(1, system.dim + 1):
@@ -168,14 +168,15 @@ def _cmd_quotient(args) -> int:
                 well = False
                 detail = str(exc)
                 break
-        all_ok = all_ok and well
         sectors.append({
             "sector": n,
             "dim": system.dim**n,
-            "quotient_dim": qdim,
+            "quotient_dim": quotient_sector(system, n, eps).quotient.dim,
             "well_defined": well,
             "detail": detail,
         })
+    sectors.reverse()
+    all_ok = all(row["well_defined"] for row in sectors)
     payload = {"label": system.label, "sectors": sectors, "well_defined": all_ok}
     lines = [f"system: {system.label}"]
     for row in sectors:
@@ -199,7 +200,7 @@ def _cmd_normal_order(args) -> int:
     worst = None
     if args.verify:
         worst = 0.0
-        for n in sectors:
+        for n in reversed(sectors):  # the top sector first, as in quotient
             lhs = evaluation_blocks(expr, system, n)
             rhs = evaluation_blocks(nf, system, n)
             for key in set(lhs) | set(rhs):
@@ -222,9 +223,7 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    phi = _parse_phi(args.phi, args.dim) if args.phi is not None else None
-    system = make_preset(args.preset, args.dim, q=args.q, phi=phi)
-    text = dump_system(system)
+    text = dump_system(_resolve_system(args))
     if args.emit == "-":
         print(text)
     else:
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default=None)
     p.add_argument("--emit", nargs="?", const="-", default="-",
                    help="output path, or stdout by default")
-    p.set_defaults(func=_cmd_catalog)
+    p.set_defaults(func=_cmd_catalog, file=None)
 
     return parser
 

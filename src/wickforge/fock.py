@@ -85,8 +85,9 @@ def _check_entries(rows: int, cols: int, what: str) -> None:
 
     Checked before allocating the matrices whose size a sector does not bound
     by itself: annihilation slices, Gram blocks, the per-block generator
-    stack and the scattered ideal bases, and the target blocks and placed
-    annihilation stacks of :func:`~wickforge.wick.evaluation_blocks`.
+    stack and the scattered ideal bases, the dense Gram matrix and quotient
+    projector, and the target blocks and placed annihilation stacks of
+    :func:`~wickforge.wick.evaluation_blocks`.
     """
     if rows * cols > ENTRY_CAP:
         raise SizeLimit(f"{what} of {rows} x {cols} entries exceeds cap {ENTRY_CAP}")
@@ -116,6 +117,8 @@ class QuotientData:
     @cached_property
     def projector(self) -> np.ndarray:
         """The N^n x N^n Hermitian idempotent onto the complement, built on first use."""
+        rows = self.complement_basis.shape[0]
+        _check_entries(rows, rows, "quotient projector")
         projector = self.complement_basis @ dagger(self.complement_basis)
         projector.setflags(write=False)
         return projector
@@ -151,6 +154,7 @@ class GramMatrix:
     def mat(self) -> np.ndarray:
         if len(self.blocks) == 1:
             return self.blocks[0]
+        _check_entries(self.dim, self.dim, "dense Gram matrix")
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         for offsets, block in zip(self.words, self.blocks):
             mat[offsets[:, None], offsets] = block
@@ -681,8 +685,10 @@ def descended_operators(
     """
     eps = resolve_eps(eps)
     _check_species(system, i)
-    span_n, q_n = _ideal_bases(system, n, eps)
+    # The larger sector first, so that an oversized one is refused before
+    # the smaller one is built.
     _, q_up = _ideal_bases(system, n + 1, eps)
+    span_n, q_n = _ideal_bases(system, n, eps)
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).
     q_up_c = dagger(q_up[creation_rows(system, i, n)])

@@ -493,34 +493,21 @@ def evaluation_blocks(
     below zero annihilate and contribute zeros; terms whose final degree is
     negative are dropped entirely.
 
-    A term's trailing annihilators act first, as one product of dense levels
-    of degree at most n that is computed once per call: the terms
-    ``c_w a_v`` of a normal form that share ``a_v`` reuse it.  Creation only
-    moves the running block to a row block of the next sector
-    (:func:`~wickforge.fock.creation_rows`).  An annihilator after it acts on
-    the placed block by the one-step recursion down to degree n, where it
-    reads the matching columns of the cached level, so no level above
-    sector n is built.  The term is added in place to the rows of its target
-    block.
+    Each term is one walk over its letters, right to left, on a running
+    column block placed at some rows of the current sector.  Creation only
+    moves the block to a row block of the next sector
+    (:func:`~wickforge.fock.creation_rows`).  An annihilator at degree at
+    most n multiplies the block by the matching columns of its cached level;
+    above n it acts on the placed block by the one-step recursion down to
+    degree n, so no level above sector n is built.  The state after an
+    all-annihilator suffix is kept for the call: the terms ``c_w a_v`` of a
+    normal form that share ``a_v`` compute it once.  The term is added in
+    place to the rows of its target block.
     """
     n_sp = system.dim
     dim_in = _sector_dim(n_sp, n)
     blocks: dict[int, np.ndarray] = {}
-    products: dict[GenWord, np.ndarray | None] = {}
-
-    def trailing_product(suffix: GenWord) -> np.ndarray | None:
-        """Matrix of a nonempty annihilator-only suffix; None if it meets the vacuum."""
-        if suffix not in products:
-            rest = suffix[1:]
-            below = trailing_product(rest) if rest else None
-            degree = n - len(rest)
-            if degree < 1 or (rest and below is None):
-                products[suffix] = None
-            else:
-                mat = annihilation_matrix(system, suffix[0].species, degree)
-                products[suffix] = mat @ below if rest else mat
-        return products[suffix]
-
+    trailing: dict[GenWord, np.ndarray] = {}
     for word, coeff in expr._terms.items():
         _check_word_species(word, n_sp)
         shift = sum(1 if g.kind == "c" else -1 for g in word)
@@ -531,25 +518,28 @@ def evaluation_blocks(
             rows = _sector_dim(n_sp, target)
             _check_entries(rows, dim_in, "evaluation block")
             blocks[target] = np.zeros((rows, dim_in), dtype=complex)
-        split = len(word)
-        while split and word[split - 1].kind == "a":
-            split -= 1
         # The term so far is mat (None: the identity on sector n) placed at
-        # rows row, row + 1, ... of sector degree.
-        mat, degree, row = None, n, 0
-        if split < len(word):
-            mat = trailing_product(word[split:])
-            if mat is None:
-                continue
-            degree -= len(word) - split
-        for gen in reversed(word[:split]):
+        # rows row, row + 1, ... of sector degree; suffix is the letters
+        # walked so far while they are all annihilators, None after a creator.
+        mat, degree, row, suffix = None, n, 0, ()
+        for gen in reversed(word):
             if gen.kind == "c":
                 row += creation_rows(system, gen.species, degree).start
-                degree += 1
+                degree, suffix = degree + 1, None
                 continue
             if degree == 0:
                 break
-            mat = _annihilate_placed(system, degree, row, mat, n)[gen.species - 1]
+            if suffix is not None:
+                suffix = (gen,) + suffix
+            if degree > n:
+                mat = _annihilate_placed(system, degree, row, mat, n)[gen.species - 1]
+            elif suffix in trailing:
+                mat = trailing[suffix]
+            else:
+                level = annihilation_matrix(system, gen.species, degree)
+                mat = level if mat is None else level[:, row:row + mat.shape[0]] @ mat
+                if suffix is not None:
+                    trailing[suffix] = mat
             degree, row = degree - 1, 0
         else:
             if mat is None:

@@ -95,7 +95,7 @@ class TestExitCodes:
         ["normal-order", "c(1)", "--preset", "boson", "--dim", "2", "--verify",
          "--max-sector", "15"],
         ["gram", "--preset", "boson", "--dim", "2", "--sector", "16", "--quotient"],
-        ["quotient", "--preset", "boson", "--dim", "2", "--max-sector", "16"],
+        ["quotient", "--preset", "boson", "--dim", "2", "--max-sector", "15"],
         ["normal-order", " ".join(["a(1)"] * 6 + ["c(1)"] * 6), "--preset", "boson",
          "--dim", "2", "--verify", "--max-sector", "10"],
     ], ids=["verify-target", "gram-quotient", "quotient", "verify-placed"])
@@ -109,6 +109,34 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "entries exceeds cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["quotient", "--preset", "boson", "--dim", "2", "--max-sector", "15"],
+        ["quotient", "--preset", "boson", "--dim", "3", "--max-sector", "7"],
+    ])
+    def test_oversized_range_is_refused_before_smaller_sectors(self, capsys, monkeypatch, argv):
+        # The top sector's sizes are checked first, so no ideal basis of a
+        # smaller sector is computed and thrown away.
+        calls = []
+        real = fock.span_and_complement
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "span_and_complement", counted)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 2**16)
+        code, out, _ = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [["catalog"], ["gram", "--sector", "2"]])
+    def test_quon_without_q_reads_the_same_everywhere(self, capsys, command):
+        code, out, err = run(capsys, command + ["--preset", "quon"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: preset quon requires --q\n"
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--preset", "boson", "--dim", "1000"],

@@ -154,6 +154,14 @@ class TestEntryCap:
             annihilation_matrix(boson2, 1, 16)
         with pytest.raises(SizeLimit, match="Gram block"):
             sector_spectrum(boson2, 16)
+        # the dense scatter of a blockwise Gram and the quotient projector of
+        # sector 14 (no columns, so that only the dense result is large)
+        halves = np.split(np.arange(16384), 2)
+        gram = fock.GramMatrix(n=14, words=halves, blocks=(np.zeros((8192, 0)),) * 2)
+        with pytest.raises(SizeLimit, match="dense Gram matrix of 16384 x 16384"):
+            gram.mat
+        with pytest.raises(SizeLimit, match="quotient projector of 16384 x 16384"):
+            fock.QuotientData(complement_basis=np.zeros((16384, 0))).projector
         assert not cached_level_degrees(2)
 
     def test_cap_is_inclusive_and_checked_before_the_build(self, fresh_cache, monkeypatch):

@@ -3,7 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from wickforge import fock
+from wickforge import fock, wick
 from wickforge.catalog import make_preset
 from wickforge.errors import ExpressionSyntaxError, SizeLimit, SpeciesOutOfRange
 from wickforge.fock import annihilation_matrix, gram_matrix
@@ -416,15 +416,38 @@ class TestReferences:
     def test_evaluation_matches_dense_composition(self, case, boson2):
         systems = [boson2, reference_systems()[case][1]]
         rng = np.random.default_rng(101 + case)
+        # An annihilator at a degree <= n after a creator has moved the rows
+        # reads its level at a nonzero column offset.
+        placed = ["a(2) c(2) a(1) a(1)", "a(1) c(2) a(2)"]
         for system in systems:
-            for _ in range(8):
-                expr = random_expression(rng, 2, max_terms=4, max_len=4)
+            exprs = [random_expression(rng, 2, max_terms=4, max_len=4) for _ in range(8)]
+            for expr in exprs + [parse_expression(text, 2) for text in placed]:
                 for form in (expr, normal_order(expr, system)):
                     for n in range(3):
                         got = evaluation_blocks(form, system, n)
                         ref = dense_blocks(form, system, n)
                         assert set(got) == set(ref)
                         assert blocks_residual(got, ref) <= 1e-12
+
+    def test_terms_share_their_trailing_annihilators(self, twisted2, monkeypatch):
+        # one level product per distinct all-annihilator suffix that stays
+        # above the vacuum, however many terms of the normal form end in it
+        n = 3
+        nf = normal_order(parse_expression("a(1) a(2) a(1) c(1) c(2) c(1)", 2), twisted2)
+        calls = []
+        real = wick.annihilation_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wick, "annihilation_matrix", counted)
+        got = evaluation_blocks(nf, twisted2, n)
+        suffixes = {word[k:] for word in nf.terms for k in range(len(word))
+                    if len(word) - k <= n and all(g.kind == "a" for g in word[k:])}
+        steps = sum(min(n, sum(g.kind == "a" for g in word)) for word in nf.terms)
+        assert len(calls) == len(suffixes) == 7 < steps
+        assert blocks_residual(got, dense_blocks(nf, twisted2, n)) <= 1e-12
 
     def test_evaluation_dead_and_dropped_terms(self, twisted2):
         # on sector 1: c a a dies below degree 0 but lands in sector 0,
