@@ -86,8 +86,8 @@ def _check_entries(rows: int, cols: int, what: str) -> None:
     Checked before allocating the matrices whose size a sector does not bound
     by itself: annihilation slices, Gram blocks, the per-block generator
     stack and the scattered ideal bases, the dense Gram matrix and quotient
-    projector, and the target blocks and placed annihilation stacks of
-    :func:`~wickforge.wick.evaluation_blocks`.
+    projector, and the pieces, dense matrices and placed annihilation stacks
+    of :func:`~wickforge.wick.evaluation_blocks`.
     """
     if rows * cols > ENTRY_CAP:
         raise SizeLimit(f"{what} of {rows} x {cols} entries exceeds cap {ENTRY_CAP}")
@@ -275,49 +275,150 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     return _annihilation_slices(system, n, False)[0][i - 1]
 
 
-def _annihilate_placed(
-    system: StatisticsSystem, m: int, row: int, block: np.ndarray | None, floor: int
-) -> np.ndarray:
-    """Every ``A_l`` applied to a column block placed in sector m, as an (N, N^(m-1), c) stack.
+def _walk_level(n_species: int, d: int, by_content: bool) -> tuple:
+    """Sector d of :class:`_Walk`: ``(heads, sizes, grow)``, cached.
 
-    The block (``None``: the identity on sector ``floor``, which creation
-    only ever places at a multiple of ``N^floor``) fills rows ``row, row + 1,
-    ...`` of sector m; the other rows are zero.  At degrees
-    ``m <= floor`` the cached dense level is read on those columns.  Above
-    ``floor`` the one-step recursion acts instead: the rows are split by
-    first letter j, each live tail is annihilated one degree down, and
-    ``A_i`` collects ``delta_ij tail + sum T^{ij}_{kl} e_k (x) A_l(tail)``.
-    No level above ``floor`` is built.
+    ``heads`` are those of :func:`_partition`, ``sizes[b]`` is the number of
+    words of block b, and ``grow[j0][p] = (b, lo)`` says that prepending
+    letter j0 + 1 to block p of sector d-1 gives the run of block b that
+    starts at position ``lo`` (None at d = 0).  The words of the blocks are
+    not formed.
     """
+    key = ("walklevel", n_species, d, by_content)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
+    if by_content:
+        _, heads, sizes = _content_heads(n_species, d)
+    else:
+        heads, sizes = _partition(n_species, d, False)[1], (n_species**d,)
+    grow = None
+    if d:
+        grow = [[None] * (1 + max(p for runs in heads for p, _, _ in runs.values()))
+                for _ in range(n_species)]
+        for b, runs in enumerate(heads):
+            for j0, (p, lo, _) in runs.items():
+                grow[j0][p] = (b, lo)
+    return _cache_put(key, (heads, sizes, grow))
+
+
+def _walk_species(system: StatisticsSystem) -> tuple:
+    """Per species index s0: the species set that A_s0 needs and the nonzeros of T it reads.
+
+    The set is the smallest one that holds s0 and every l of a nonzero
+    ``T^{ij}_{kl}`` with i in it (``{s0}`` for a flip-scaled T).  The
+    nonzeros are listed per first letter j0 as ``(k0, l0, i0, T^{i0
+    j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``.
+    """
+    key = ("walkspecies", system.content_key)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
     n_sp = system.dim
-    height = _sector_dim(n_sp, floor) if block is None else block.shape[0]
-    if m <= floor:
-        cols = slice(row, row + height)
-        return np.stack([level[:, cols] if block is None else level[:, cols] @ block
-                         for level in _annihilation_slices(system, m, False)[0]])
-    size = _sector_dim(n_sp, m - 1)
-    first, last = row // size, (row + height - 1) // size
-    cols = height if block is None else block.shape[1]
-    _check_entries(n_sp * size, cols, "placed annihilation stack")
-    out = np.zeros((n_sp, size, cols), dtype=complex)
     t4 = system.cross.tensor()
-    for j0 in range(first, last + 1):
-        lo, hi = max(row, j0 * size), min(row + height, (j0 + 1) * size)
-        part = None if block is None else block[lo - row:hi - row]
-        if part is not None and not part.any():
+    nonzeros = list(zip(*(idx.tolist() for idx in np.nonzero(t4))))
+    feeds = [{l0 for _, l0, i0, _ in nonzeros if i0 == s0} for s0 in range(n_sp)]
+    out = []
+    for s0 in range(n_sp):
+        closed, todo = {s0}, [s0]
+        while todo:
+            new = feeds[todo.pop()] - closed
+            closed |= new
+            todo.extend(new)
+        rules = tuple(tuple((k0, l0, i0, t4[k0, l0, i0, j0]) for k0, l0, i0, j0 in nonzeros
+                            if j0 == f0 and i0 in closed) for f0 in range(n_sp))
+        out.append((tuple(sorted(closed)), rules))
+    return _cache_put(key, tuple(out))
+
+
+class _Walk:
+    """The lookups of one evaluation on the word blocks of sector ``floor``, read without locks.
+
+    The blocks are those of :func:`_partition`, by letter content when
+    :func:`_content_graded` holds and one block per sector otherwise.  For
+    every degree d up to ``top`` the walk holds ``heads[d]`` and ``sizes[d]``,
+    and ``grow[d]``, which maps a block of sector d and a prepended letter to
+    a run of sector d + 1 (:func:`_walk_level`).
+    ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`).
+    :meth:`slices` reads the annihilation slices of a degree ``<= floor``.
+    """
+
+    def __init__(self, system: StatisticsSystem, floor: int, top: int):
+        n_sp = system.dim
+        _sector_dim(n_sp, top)
+        self.system, self.n_species, self.floor = system, n_sp, floor
+        self.by_content = _content_graded(system)
+        levels = [_walk_level(n_sp, d, self.by_content) for d in range(top + 1)]
+        self.heads, self.sizes, grow = zip(*levels)
+        self.grow = grow[1:]
+        self.species = _walk_species(system)
+        self._slices = {}
+
+    def slices(self, m: int) -> tuple:
+        """The annihilation slices of sector ``1 <= m <= floor`` on the walk's blocks."""
+        found = self._slices.get(m)
+        if found is None:
+            found = self._slices[m] = _annihilation_slices(self.system, m, self.by_content)
+        return found
+
+
+def _annihilate_placed(
+    walk: _Walk, m: int, b: int, rows: slice, block: np.ndarray | None, species: tuple
+) -> list[np.ndarray | None]:
+    """``A_l`` applied to a column block placed in word block b of sector m, for l in a species set.
+
+    The block (``None``: the identity on a word block of sector
+    ``walk.floor``, which creation places inside one first-letter run) fills
+    positions ``rows`` of block b; the other rows are zero.  ``species`` is
+    an entry of ``walk.species``.  Entry l of the result is ``A_l`` of the
+    block on the rows of block ``b - e_l`` of sector m-1 (the head of letter
+    l), for each l of the set whose letter block b holds, and None
+    otherwise.  At degrees ``m <= floor`` the slices ``A_l[b - e_l, b]`` are
+    read on those columns.  Above ``floor`` the one-step recursion acts
+    instead: the rows are split by the first-letter runs of block b, each
+    live tail is annihilated one degree down in its block p, and ``A_i``
+    collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x) A_l(tail)``, the second
+    term in run k of block ``b - e_i``.  No slice above ``floor`` is built.
+    On a one-block partition this is the recursion on the whole sector.
+    """
+    wanted, rules = species
+    runs = walk.heads[m][b]
+    out = [None] * walk.n_species
+    if m <= walk.floor:
+        found = walk.slices(m)[b]
+        for l0 in wanted:
+            if found[l0] is not None:
+                out[l0] = found[l0][:, rows] if block is None else found[l0][:, rows] @ block
+        return out
+    cols = rows.stop - rows.start if block is None else block.shape[1]
+    below = walk.sizes[m - 1]
+    targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
+    _check_entries(sum(below[p] for _, p in targets), cols, "placed annihilation stack")
+    for i0, p in targets:
+        out[i0] = np.zeros((below[p], cols), dtype=complex)
+    tails = walk.heads[m - 1]
+    first, last = rows.start, rows.stop
+    for j0, (p, lo, hi) in runs.items():
+        start, stop = (lo if lo > first else first), (hi if hi < last else last)
+        if start >= stop:
             continue
-        tail = lo - j0 * size
-        if part is None:
-            diag = np.arange(height)
-            out[j0, tail + diag, diag] = 1.0
-        else:
-            out[j0, tail:tail + part.shape[0]] += part
+        part = None if block is None else block[start - first:stop - first]
+        if part is not None and not np.count_nonzero(part):
+            continue
+        tail = start - lo
+        if out[j0] is not None:
+            if part is None:
+                diag = np.arange(stop - start)
+                out[j0][tail + diag, diag] = 1.0
+            else:
+                out[j0][tail:tail + part.shape[0]] += part
         if m == 1:
             continue
-        inner = _annihilate_placed(system, m - 1, tail, part, floor)
-        blk = size // n_sp
-        for k0, l0, i0 in zip(*np.nonzero(t4[..., j0])):
-            out[i0, k0 * blk:(k0 + 1) * blk] += t4[k0, l0, i0, j0] * inner[l0]
+        inner = _annihilate_placed(walk, m - 1, p, slice(tail, tail + stop - start), part, species)
+        for k0, l0, i0, coeff in rules[j0]:
+            if inner[l0] is not None:
+                _, top, bottom = tails[runs[i0][0]][k0]
+                out[i0][top:bottom] += coeff * inner[l0]
     return out
 
 
@@ -373,43 +474,60 @@ def quotient_gram(system: StatisticsSystem, n: int,
     return GramMatrix(n=n, words=(slice(0, q.shape[1]),), blocks=(mat,))
 
 
-def _content_partition(n_species: int, n: int) -> tuple:
-    """Letter-content blocks of sector n: (blocks, block of every offset, heads, counts).
+def _content_heads(n_species: int, n: int) -> tuple:
+    """Letter-content blocks of sector n without their words: (counts, heads, sizes).
 
-    ``counts[b]`` is the letter-count vector of block b.  Blocks are numbered
-    in ascending order of their sorted-letter tuples, which is descending
-    order of the count vectors.  Sector n grows from sector n-1: the word
-    ``x^j (x) w`` has the counts of w plus one letter j, so a table ``step[j0,
-    p]`` (the block of the counts of block p plus letter j0 + 1) gives the
-    block of every offset by one gather per first letter.  ``heads`` are
+    ``counts[b]`` is the letter-count tuple of block b and ``sizes[b]`` its
+    number of words.  Blocks are numbered in ascending order of their
+    sorted-letter tuples, which is descending order of the count tuples.
+    Sector n grows from sector n-1: the word ``x^j (x) w`` has the counts of
+    w plus one letter j, and the words of block p with letter j0 + 1
+    prepended form one run of the block of those counts.  ``heads`` are
     those of :func:`_partition`.
     """
-    key = ("blocks", n_species, n)
+    key = ("heads", n_species, n)
     cached = _cache_get(key)
     if cached is not None:
         return cached
     _sector_dim(n_species, n)
     if n == 0:
-        counts = np.zeros((1, n_species), dtype=np.intp)
-        blocks, block_of, heads = (np.zeros(1, dtype=np.intp),), np.zeros(1, dtype=np.intp), ({},)
+        return _cache_put(key, (((0,) * n_species,), ({},), (1,)))
+    prev_counts, _, prev_sizes = _content_heads(n_species, n - 1)
+    grown = [[c[:j0] + (c[j0] + 1,) + c[j0 + 1:] for c in prev_counts] for j0 in range(n_species)]
+    counts = sorted({c for row in grown for c in row}, reverse=True)
+    index = {c: b for b, c in enumerate(counts)}
+    heads = tuple({} for _ in counts)
+    fill = [0] * len(counts)
+    for j0, row in enumerate(grown):
+        for p, c in enumerate(row):
+            b = index[c]
+            heads[b][j0] = (p, fill[b], fill[b] + prev_sizes[p])
+            fill[b] += prev_sizes[p]
+    return _cache_put(key, (tuple(counts), heads, tuple(fill)))
+
+
+def _content_partition(n_species: int, n: int) -> tuple:
+    """Letter-content blocks of sector n and their heads (:func:`_content_heads`).
+
+    Run j0 of block b holds the words of its block p of sector n-1 with
+    letter j0 + 1 prepended, that is the offsets of block p plus ``j0 *
+    N^(n-1)``, so the runs in order give the ascending offsets of block b.
+    """
+    key = ("blocks", n_species, n)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
+    _, heads, _ = _content_heads(n_species, n)
+    if n == 0:
+        blocks = (np.zeros(1, dtype=np.intp),)
     else:
-        prev_blocks, prev_of, _, prev_counts = _content_partition(n_species, n - 1)
-        grown = prev_counts + np.eye(n_species, dtype=np.intp)[:, None, :]
-        neg, step = np.unique(-grown.reshape(-1, n_species), axis=0, return_inverse=True)
-        counts, step = -neg, step.reshape(n_species, -1)
-        block_of = step[:, prev_of].reshape(-1)
-        heads = tuple({} for _ in counts)
-        fill = [0] * len(counts)
-        for j0 in range(n_species):
-            for p, b in enumerate(step[j0].tolist()):
-                size = prev_blocks[p].size
-                heads[b][j0] = (p, fill[b], fill[b] + size)
-                fill[b] += size
-        order = np.argsort(block_of, kind="stable")
-        blocks = tuple(np.split(order, np.cumsum(fill)[:-1]))
-    for arr in (*blocks, block_of, counts):
+        prev = _content_partition(n_species, n - 1)[0]
+        size = n_species ** (n - 1)
+        blocks = tuple(np.concatenate([j0 * size + prev[p] for j0, (p, _, _) in runs.items()])
+                       for runs in heads)
+    for arr in blocks:
         arr.setflags(write=False)
-    return _cache_put(key, (blocks, block_of, heads, counts))
+    return _cache_put(key, (blocks, heads))
 
 
 def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
@@ -478,8 +596,7 @@ def _partition(n_species: int, n: int, by_content: bool) -> tuple[tuple, tuple]:
     the words of block p of sector n-1, in the same order.
     """
     if by_content:
-        blocks, _, heads, _ = _content_partition(n_species, n)
-        return blocks, heads
+        return _content_partition(n_species, n)
     dim = _sector_dim(n_species, n)
     size = dim // n_species
     heads = {j0: (0, j0 * size, (j0 + 1) * size) for j0 in range(n_species)} if n else {}

@@ -573,11 +573,11 @@ def system_to_dict(system: StatisticsSystem) -> dict:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    return type(value) in (float, int) or isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _entry_rows(rows, what: str) -> list[tuple]:
@@ -589,18 +589,17 @@ def _entry_rows(rows, what: str) -> list[tuple]:
         )
     entries = []
     for row in rows:
-        malformed = ValueError(
+        if (isinstance(row, list) and len(row) == 6
+                and all(_is_int(x) for x in row[:4]) and all(_is_real(x) for x in row[4:])):
+            try:
+                entries.append((*row[:4], complex(row[4], row[5])))
+                continue
+            except OverflowError:  # integers beyond the float range
+                pass
+        raise ValueError(
             f"malformed operator file: {what} row {row!r} is not "
             f"[i, j, k, l, re, im] with integer indices and real numbers"
         )
-        if not (isinstance(row, list) and len(row) == 6
-                and all(_is_int(x) for x in row[:4])
-                and all(_is_real(x) for x in row[4:])):
-            raise malformed
-        try:
-            entries.append((*row[:4], complex(row[4], row[5])))
-        except OverflowError:  # integers beyond the float range
-            raise malformed from None
     return entries
 
 

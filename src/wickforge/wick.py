@@ -20,7 +20,10 @@ Grammar (whitespace separates factors)::
 
 from __future__ import annotations
 
+import cmath
 import re
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -30,9 +33,10 @@ from .errors import ExpressionSyntaxError, SpeciesOutOfRange
 from .fock import (
     _annihilate_placed,
     _check_entries,
+    _partition,
     _sector_dim,
+    _Walk,
     annihilation_matrix,
-    creation_rows,
 )
 from .linalg import DEFAULT_EPS, max_abs, resolve_eps
 from .operators import CheckResult, StatisticsSystem, ValidationReport
@@ -164,6 +168,10 @@ def _fmt_coeff(c: complex) -> str:
     return f"({_fmt_number(c.real)},{_fmt_number(c.imag)})"
 
 
+def _word_text(word: GenWord) -> str:
+    return " ".join(f"{g.kind}({g.species})" for g in word) or "1"
+
+
 def format_expression(expr: OperatorExpression) -> str:
     """Deterministic text form; terms sorted by word.
 
@@ -178,7 +186,7 @@ def format_expression(expr: OperatorExpression) -> str:
         sign = "+"
         if coeff.imag == 0 and coeff.real < 0:
             sign, coeff = "-", -coeff
-        factors = " ".join(f"{g.kind}({g.species})" for g in word)
+        factors = _word_text(word)
         if not word:
             body = "1" if coeff == 1 else f"{_fmt_coeff(coeff)} 1"
         elif coeff == 1:
@@ -266,10 +274,13 @@ class _Parser:
             sign = -1.0 if tok.kind == "minus" else 1.0
         if self.peek() is None:
             raise ExpressionSyntaxError("empty expression", self.length)
+        starts: dict[GenWord, int] = {}
         while True:
+            tok = self.peek()
             word, coeff = self.parse_term()
             coeff *= sign
             terms[word] = terms.get(word, 0.0) + coeff
+            starts.setdefault(word, tok.pos if tok is not None else self.length)
             tok = self.peek()
             if tok is None:
                 break
@@ -282,6 +293,11 @@ class _Parser:
                     f"expected '+' or '-', got {tok.text!r}", tok.pos
                 )
             self.next()
+        # Checked on the sums, which can overflow where no single term does.
+        for word, c in terms.items():
+            if not cmath.isfinite(c):
+                raise ExpressionSyntaxError(
+                    f"coefficient {c} of {_word_text(word)} is not finite", starts[word])
         return OperatorExpression(
             {word: c for word, c in terms.items() if abs(c) > DEFAULT_EPS})
 
@@ -482,72 +498,166 @@ def star(expr: OperatorExpression) -> OperatorExpression:
 # Fock evaluation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class EvaluationBlock:
+    """The Fock matrix of an expression from sector n to one target sector, held in pieces.
+
+    ``pieces[(b, c)]`` is the matrix from word block c of sector n (the
+    words ``cols[c]``) to word block b of the target sector (the words
+    ``rows[b]``); a pair of blocks without a piece, and every entry outside
+    the pieces, is zero.  The blocks are those of
+    :func:`~wickforge.fock.word_blocks` (a plain slice when a sector is one
+    block).  ``mat`` is the dense matrix, the pieces scattered into zeros,
+    built on first use.
+    """
+
+    n_species: int
+    target: int
+    n: int
+    by_content: bool
+    pieces: dict
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_species**self.target, self.n_species**self.n
+
+    @property
+    def rows(self) -> tuple:
+        return _partition(self.n_species, self.target, self.by_content)[0]
+
+    @property
+    def cols(self) -> tuple:
+        return _partition(self.n_species, self.n, self.by_content)[0]
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        if not self.by_content and self.pieces:
+            return self.pieces[(0, 0)]
+        _check_entries(*self.shape, "evaluation block")
+        mat = np.zeros(self.shape, dtype=complex)
+        rows, cols = self.rows, self.cols
+        for (b, c), piece in self.pieces.items():
+            mat[rows[b][:, None], cols[c]] = piece
+        mat.setflags(write=False)
+        return mat
+
+
 def evaluation_blocks(
     expr: OperatorExpression,
     system: StatisticsSystem,
     n: int,
-) -> dict[int, np.ndarray]:
-    """Blockwise Fock matrices of the expression on sector n, keyed by target degree.
+) -> dict[int, EvaluationBlock]:
+    """Fock matrices of the expression on sector n, keyed by target degree, held blockwise.
 
     Factors compose right to left.  Terms that push an intermediate degree
     below zero annihilate and contribute zeros; terms whose final degree is
     negative are dropped entirely.
 
-    Each term is one walk over its letters, right to left, on a running
-    column block placed at some rows of the current sector.  Creation only
-    moves the block to a row block of the next sector
-    (:func:`~wickforge.fock.creation_rows`).  An annihilator at degree at
-    most n multiplies the block by the matching columns of its cached level;
-    above n it acts on the placed block by the one-step recursion down to
-    degree n, so no level above sector n is built.  The state after an
-    all-annihilator suffix is kept for the call: the terms ``c_w a_v`` of a
+    Every term is walked once per word block c of sector n (the blocks of
+    :class:`EvaluationBlock`), right to left over its letters, on a running
+    column block placed at some rows of one word block of the current
+    sector.  Creation only moves the block to a run of a block of the next
+    sector.  An annihilator at degree at most n multiplies it by the columns
+    of that block's annihilation slice; above n it acts on the placed block
+    by the one-step recursion down to degree n
+    (:func:`~wickforge.fock._annihilate_placed`), so no slice above sector n
+    is built.  When T is graded, each letter moves the content by one, so a
+    term maps block c into one block of its target, or dies where a block
+    lacks the letter of an annihilator.  The state after an all-annihilator
+    suffix is kept per source block for the call: the terms ``c_w a_v`` of a
     normal form that share ``a_v`` compute it once.  The term is added in
-    place to the rows of its target block.
+    place to the rows of its piece.
     """
     n_sp = system.dim
-    dim_in = _sector_dim(n_sp, n)
-    blocks: dict[int, np.ndarray] = {}
-    trailing: dict[GenWord, np.ndarray] = {}
+    _sector_dim(n_sp, n)
+    # Every target degree gets a block, even if all its terms die.  Per live
+    # term: its letters right to left as (is creator, species index), the
+    # length of its all-annihilator suffix, and its target; top is the
+    # highest degree any walk reaches.
+    pieces: dict[int, dict] = {}
+    plans = []
+    top = n
     for word, coeff in expr._terms.items():
         _check_word_species(word, n_sp)
-        shift = sum(1 if g.kind == "c" else -1 for g in word)
-        target = n + shift
+        target = n + sum(1 if g.kind == "c" else -1 for g in word)
         if target < 0:
             continue
-        if target not in blocks:
-            rows = _sector_dim(n_sp, target)
-            _check_entries(rows, dim_in, "evaluation block")
-            blocks[target] = np.zeros((rows, dim_in), dtype=complex)
-        # The term so far is mat (None: the identity on sector n) placed at
-        # rows row, row + 1, ... of sector degree; suffix is the letters
-        # walked so far while they are all annihilators, None after a creator.
-        mat, degree, row, suffix = None, n, 0, ()
+        pieces.setdefault(target, {})
+        top = max(top, target)
+        split = 0
         for gen in reversed(word):
-            if gen.kind == "c":
-                row += creation_rows(system, gen.species, degree).start
-                degree, suffix = degree + 1, None
-                continue
-            if degree == 0:
+            if gen.kind == "c" or split > n:
                 break
-            if suffix is not None:
-                suffix = (gen,) + suffix
-            if degree > n:
-                mat = _annihilate_placed(system, degree, row, mat, n)[gen.species - 1]
-            elif suffix in trailing:
-                mat = trailing[suffix]
+            split += 1
+        if split > n:  # the suffix meets the vacuum
+            continue
+        letters = tuple((g.kind == "c", g.species - 1) for g in reversed(word))
+        degree = n - split
+        for creates, _ in letters[split:]:
+            if not creates and degree == 0:
+                break
+            degree += 1 if creates else -1
+            top = max(top, degree)
+        plans.append((letters, split, coeff, target))
+    walk = _Walk(system, n, top)
+    heads, sizes, grow, species = walk.heads, walk.sizes, walk.grow, walk.species
+    trailing: dict[tuple, tuple | None] = {}
+
+    def settle(suffix: tuple, c: int) -> tuple | None:
+        """``(mat, block)`` after the annihilators ``suffix`` on block c of sector n; None if dead."""
+        key = (suffix, c)
+        if key not in trailing:
+            state = (None, c) if len(suffix) == 1 else settle(suffix[:-1], c)
+            degree, i0 = n + 1 - len(suffix), suffix[-1]
+            found = None if state is None else walk.slices(degree)[state[1]][i0]
+            if found is None:
+                trailing[key] = None
             else:
-                level = annihilation_matrix(system, gen.species, degree)
-                mat = level if mat is None else level[:, row:row + mat.shape[0]] @ mat
-                if suffix is not None:
-                    trailing[suffix] = mat
-            degree, row = degree - 1, 0
-        else:
-            if mat is None:
-                diag = np.arange(dim_in)
-                blocks[target][row + diag, diag] += coeff
+                mat, b = state
+                trailing[key] = (found if mat is None else found @ mat, heads[degree][b][i0][0])
+        return trailing[key]
+
+    for letters, split, coeff, target in plans:
+        held = pieces[target]
+        suffix = tuple(i0 for _, i0 in letters[:split])
+        for c, width in enumerate(sizes[n]):
+            state = settle(suffix, c) if split else (None, c)
+            if state is None:
+                continue
+            (mat, b), degree, row = state, n - split, 0
+            for creates, i0 in letters[split:]:
+                if creates:
+                    b, lo = grow[degree][i0][b]
+                    row, degree = row + lo, degree + 1
+                    continue
+                if degree == 0:
+                    break
+                rows = slice(row, row + (width if mat is None else mat.shape[0]))
+                if degree > n:
+                    mat = _annihilate_placed(walk, degree, b, rows, mat, species[i0])[i0]
+                else:
+                    found = walk.slices(degree)[b][i0]
+                    mat = None if found is None else (
+                        found[:, rows] if mat is None else found[:, rows] @ mat)
+                if mat is None:  # block b lacks the letter
+                    break
+                b, degree, row = heads[degree][b][i0][0], degree - 1, 0
             else:
-                blocks[target][row:row + mat.shape[0]] += coeff * mat
-    return blocks
+                piece = held.get((b, c))
+                if piece is None:
+                    _check_entries(sizes[target][b], width, "evaluation piece")
+                    piece = held[(b, c)] = np.zeros((sizes[target][b], width), dtype=complex)
+                if mat is None:
+                    diag = np.arange(width)
+                    piece[row + diag, diag] += coeff
+                else:
+                    piece[row:row + mat.shape[0]] += coeff * mat
+    for held in pieces.values():
+        for piece in held.values():
+            piece.setflags(write=False)
+    return {target: EvaluationBlock(n_species=n_sp, target=target, n=n,
+                                    by_content=walk.by_content, pieces=held)
+            for target, held in pieces.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +691,7 @@ def _psi_action_residual(
                 expr = OperatorExpression({word: 1.0})
                 for form in (normal_order(expr, rewrite_system), expr):
                     blocks = evaluation_blocks(form, fock_system, 0)
-                    got = blocks[m - 1][:, 0] if m - 1 in blocks else 0.0
+                    got = blocks[m - 1].mat[:, 0] if m - 1 in blocks else 0.0
                     worst = max(worst, max_abs(got - direct[:, col]))
     return worst
 

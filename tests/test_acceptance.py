@@ -69,6 +69,8 @@ def criterion(num: int, desc: str):
 
 
 def blocks_residual(lhs, rhs):
+    lhs = {key: block.mat for key, block in lhs.items()}
+    rhs = {key: block.mat for key, block in rhs.items()}
     worst = 0.0
     for key in set(lhs) | set(rhs):
         ref = lhs.get(key, rhs.get(key))

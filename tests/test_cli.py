@@ -300,6 +300,41 @@ class TestEpsPlumbing:
         assert code == 0
 
 
+class TestVerify:
+    @pytest.mark.parametrize("expr", [
+        "1e400 a(1) c(1)",
+        # finite terms whose sums overflow or cancel to NaN
+        "1e308 c(1) + 1e308 c(1)",
+        "c(2) - 1e400 c(1) + 1e400 c(1)",
+    ])
+    def test_non_finite_coefficient_is_usage_error(self, capsys, expr):
+        code, out, err = run(capsys, ["normal-order", expr, "--preset", "boson", "--verify"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+
+    def test_nan_residual_fails(self, capsys, tmp_path):
+        # a(1) c(1) = 1 + q c(1) a(1) with q = 1e200: on sector 2 both sides
+        # overflow to inf, and their difference is NaN
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1, "cross": [[1, 1, 1, 1, 1e200, 0.0]]}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run(capsys, ["normal-order", "a(1) c(1)", "--file", str(path),
+                                        "--verify", "--max-sector", "3"])
+        assert code == 1
+        assert out.splitlines()[1].startswith("verify: max residual nan")
+
+    def test_long_boson_word_to_sector_ten(self, capsys):
+        # per-block evaluation: the whole-sector placed stack of sector 16
+        # (65536 x 1024) would be over the entry cap
+        word = " ".join(["a(1)"] * 6 + ["c(1)"] * 6)
+        code, out, err = run(capsys, ["normal-order", word, "--preset", "boson", "--dim", "2",
+                                      "--verify", "--max-sector", "10"])
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("verify: max residual 0.000e+00")
+
+
 class TestLargeSectorTolerances:
     """Gram entries grow like n!: verdicts must hold at the scale of the matrix.
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from itertools import product
 
 import numpy as np
 import pytest
@@ -143,11 +144,16 @@ class TestEntryCap:
 
     def test_real_cap_refuses_before_allocating(self, fresh_cache, boson2):
         # in sectors under SECTOR_CAP, refused before anything of their size is built
-        with pytest.raises(SizeLimit, match="evaluation block of 16384 x 8192"):
-            wick.evaluation_blocks(wick.parse_expression("c(1)", 2), boson2, 13)
+        # the dense matrix of a blockwise evaluation, from pieces of 1.2M entries
+        boson4 = make_preset("boson", 4)
+        blocks = wick.evaluation_blocks(wick.parse_expression("c(1)", 4), boson4, 6)
+        with pytest.raises(SizeLimit, match="evaluation block of 16384 x 4096"):
+            blocks[7].mat
+        # one block per sector, so the placed stack holds the whole of sector 15
+        rotated = haar_rotated(boson2, np.random.default_rng(43))
         expr = wick.parse_expression(" ".join(["a(1)"] * 6 + ["c(1)"] * 6), 2)
         with pytest.raises(SizeLimit, match="placed annihilation stack of 65536 x 1024"):
-            wick.evaluation_blocks(expr, boson2, 10)
+            wick.evaluation_blocks(expr, rotated, 10)
         with pytest.raises(SizeLimit, match="ideal generator stack"):
             quotient_sector(boson2, 16)
         with pytest.raises(SizeLimit, match="annihilation slice of 32768 x 65536"):
@@ -245,11 +251,26 @@ class TestAnnihilationMatrix:
                     assert max_abs(got - oracle) <= 1e-12, (system.label, n, i)
 
 
-def placed_references(system, m, row, block, height=None):
-    """Dense ``A_l`` of sector m on ``block`` (None: an identity) placed at ``row``, over l."""
-    cols = slice(row, row + (height if block is None else block.shape[0]))
-    levels = [annihilation_matrix(system, l, m)[:, cols] for l in range(1, system.dim + 1)]
-    return np.stack(levels if block is None else [level @ block for level in levels])
+def placed_reference(system, walk, m, b, rows, block):
+    """Dense ``A_l`` of sector m on the block placed at positions rows of word block b, over l.
+
+    Entry l0 is ``(inside, outside)``: the result on the words of block
+    ``b - e_l`` of sector m-1 (None when block b lacks the letter), and the
+    largest entry of the result on the other words.
+    """
+    n_sp = system.dim
+    offsets = np.arange(n_sp**m)[fock._partition(n_sp, m, walk.by_content)[0][b]]
+    below = fock._partition(n_sp, m - 1, walk.by_content)[0]
+    refs = []
+    for l0 in range(n_sp):
+        full = annihilation_matrix(system, l0 + 1, m)[:, offsets[rows]]
+        if block is not None:
+            full = full @ block
+        head = walk.heads[m][b].get(l0)
+        inside = [] if head is None else np.arange(n_sp ** (m - 1))[below[head[0]]]
+        refs.append((None if head is None else full[inside],
+                     max_abs(np.delete(full, inside, axis=0))))
+    return refs
 
 
 def assert_close(got, ref, what):
@@ -257,8 +278,35 @@ def assert_close(got, ref, what):
     assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref)), what
 
 
+def assert_placed(system, walk, m, b, rows, block, what):
+    """Every species set of the walk against :func:`placed_reference`."""
+    refs = placed_reference(system, walk, m, b, rows, block)
+    scale = max(1.0, *(max_abs(inside) for inside, _ in refs if inside is not None))
+    for species in walk.species:
+        got = fock._annihilate_placed(walk, m, b, rows, block, species)
+        for l0, (inside, outside) in enumerate(refs):
+            assert outside <= 1e-12 * scale, what
+            if l0 in species[0] and inside is not None:
+                assert_close(got[l0], inside, (what, l0))
+            else:
+                assert got[l0] is None, (what, l0)
+
+
+def creator_placements(walk, floor, m):
+    """``(c, b, row)`` for every source block c of sector floor and every creator word of length m - floor."""
+    out = []
+    for c in range(len(walk.sizes[floor])):
+        for letters in product(range(len(walk.species)), repeat=m - floor):
+            b, row = c, 0
+            for d, j0 in enumerate(letters, floor):
+                b, lo = walk.grow[d][j0][b]
+                row += lo
+            out.append((c, b, row))
+    return out
+
+
 class TestPlacedAnnihilation:
-    """The one-step recursion above the floor against the dense levels and the word oracle."""
+    """The one-step recursion on word blocks against the dense levels and the word oracle."""
 
     @staticmethod
     def systems(n_species):
@@ -272,35 +320,36 @@ class TestPlacedAnnihilation:
             for m in range(1, max_degree + 1):
                 floors = {m - 1, m // 2} | ({0} if n_species**m <= 81 else set())
                 for floor in floors:
-                    height = n_species**floor
-                    for row in range(0, n_species**m, height):
-                        got = fock._annihilate_placed(system, m, row, None, floor)
-                        ref = placed_references(system, m, row, None, height)
-                        assert_close(got, ref, (system.label, m, floor, row))
+                    walk = fock._Walk(system, floor, m)
+                    for c, b, row in creator_placements(walk, floor, m):
+                        rows = slice(row, row + walk.sizes[floor][c])
+                        assert_placed(system, walk, m, b, rows, None,
+                                      (system.label, m, floor, b, row))
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
     def test_dense_and_partly_zero_blocks(self, fresh_cache, n_species, max_degree):
         rng = np.random.default_rng(31)
         for system in self.systems(n_species):
             for m in range(1, max_degree + 1):
-                dim = n_species**m
                 for floor in sorted({0, m // 2, m - 1, m}):
+                    walk = fock._Walk(system, floor, m)
+                    b = int(rng.integers(len(walk.sizes[m])))
+                    runs, size = walk.heads[m][b], walk.sizes[m][b]
                     # a dense block of any height at any offset, straddling first letters
-                    height = int(rng.integers(1, dim + 1))
-                    row = int(rng.integers(0, dim - height + 1))
+                    height = int(rng.integers(1, size + 1))
+                    row = int(rng.integers(0, size - height + 1))
                     dense = (rng.standard_normal((height, 3))
                              + 1j * rng.standard_normal((height, 3)))
-                    # the whole sector with some first-letter blocks exactly zero
-                    sparse = rng.standard_normal((dim, 2)) + 0j
-                    size = dim // n_species
-                    dead = rng.choice(n_species, int(rng.integers(1, n_species)), replace=False)
+                    # the whole block with some first-letter runs exactly zero
+                    sparse = rng.standard_normal((size, 2)) + 0j
+                    dead = rng.choice(list(runs), int(rng.integers(0, len(runs))), replace=False)
                     for j0 in dead:
-                        sparse[j0 * size:(j0 + 1) * size] = 0
+                        sparse[runs[j0][1]:runs[j0][2]] = 0
                     sparse[:size // 2] = 0
                     for row_b, block in ((row, dense), (0, sparse)):
-                        got = fock._annihilate_placed(system, m, row_b, block, floor)
-                        ref = placed_references(system, m, row_b, block)
-                        assert_close(got, ref, (system.label, m, floor, row_b))
+                        rows = slice(row_b, row_b + block.shape[0])
+                        assert_placed(system, walk, m, b, rows, block,
+                                      (system.label, m, floor, b, row_b))
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
     def test_matches_word_oracle(self, fresh_cache, n_species, max_degree):
@@ -310,18 +359,41 @@ class TestPlacedAnnihilation:
             # the oracle walks every rewrite path: keep dense-T paths short
             top = max_degree if is_graded(system.cross) else max_degree - 5 + n_species
             for m in range(1, top + 1):
+                walk = fock._Walk(system, 0, m)
+                blocks = fock._partition(n_species, m, walk.by_content)[0]
+                below = fock._partition(n_species, m - 1, walk.by_content)[0]
                 for word_offset in rng.choice(n_species**m, 3):
                     word = sector_basis(n_species, m).basis[word_offset]
-                    got = fock._annihilate_placed(system, m, int(word_offset), None, 0)
+                    b, pos = next((b, int(np.flatnonzero(np.arange(n_species**m)[rows]
+                                                         == word_offset)[0]))
+                                  for b, rows in enumerate(blocks)
+                                  if word_offset in np.arange(n_species**m)[rows])
                     for l in range(1, n_species + 1):
                         ref = np.zeros(n_species ** (m - 1), dtype=complex)
                         for tail, c in annihilate_word(t4, l, word).items():
                             ref[word_index(tail, n_species)] += c
-                        assert_close(got[l - 1, :, 0], ref, (system.label, m, word, l))
+                        got = fock._annihilate_placed(walk, m, b, slice(pos, pos + 1), None,
+                                                      walk.species[l - 1])[l - 1]
+                        if got is None:
+                            assert max_abs(ref) == 0.0, (system.label, m, word, l)
+                            continue
+                        inside = np.arange(n_species ** (m - 1))[below[walk.heads[m][b][l - 1][0]]]
+                        assert_close(got[:, 0], ref[inside], (system.label, m, word, l))
+                        assert max_abs(np.delete(ref, inside)) <= 1e-12 * max(1.0, max_abs(ref))
+
+    def test_needed_species_only(self, twisted2):
+        rng = np.random.default_rng(41)
+        for system in graded_systems(3)[:-1]:  # the flip-scaled presets
+            assert [wanted for wanted, _ in fock._walk_species(system)] == [(0,), (1,), (2,)]
+        # twisted CCR: T^{ii}_{kk} != 0 for k < i, so A_2 needs A_1
+        assert [wanted for wanted, _ in fock._walk_species(twisted2)] == [(0,), (0, 1)]
+        rotated = haar_rotated(twisted2, rng)
+        assert [wanted for wanted, _ in fock._walk_species(rotated)] == [(0, 1), (0, 1)]
 
     def test_builds_no_level_above_the_floor(self, fresh_cache, boson2):
-        fock._annihilate_placed(boson2, 8, 5, np.ones((3, 2)), 2)
-        built = {key[2] for key in fock._CACHE if key[0] == "annihilation" and not key[3]}
+        walk = fock._Walk(boson2, 2, 8)
+        fock._annihilate_placed(walk, 8, 3, slice(5, 8), np.ones((3, 2)), walk.species[0])
+        built = {key[2] for key in fock._CACHE if key[0] == "annihilation"}
         assert built and max(built) <= 2
 
 

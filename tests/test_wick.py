@@ -50,7 +50,13 @@ def random_expression(rng, n_species, max_terms=3, max_len=3):
     return OperatorExpression(terms)
 
 
+def dense(blocks):
+    """Target degree -> dense matrix, from evaluation blocks or from dense arrays."""
+    return {key: getattr(block, "mat", block) for key, block in blocks.items()}
+
+
 def blocks_residual(lhs, rhs):
+    lhs, rhs = dense(lhs), dense(rhs)
     worst = 0.0
     for key in set(lhs) | set(rhs):
         ref = lhs.get(key, rhs.get(key))
@@ -245,26 +251,26 @@ class TestEvaluate:
     def test_unit_is_identity(self, boson2):
         blocks = evaluation_blocks(OperatorExpression.unit(), boson2, 2)
         assert set(blocks) == {2}
-        assert np.array_equal(blocks[2], np.eye(4))
+        assert np.array_equal(blocks[2].mat, np.eye(4))
 
     def test_number_operator_boltzmann(self, boltzmann2):
         expr = parse_expression("c(1) a(1)", 2)
         blocks = evaluation_blocks(expr, boltzmann2, 1)
         assert set(blocks) == {1}
-        assert np.allclose(blocks[1], np.diag([1.0, 0.0]), atol=EPS)
+        assert np.allclose(blocks[1].mat, np.diag([1.0, 0.0]), atol=EPS)
 
     def test_mixed_shifts_return_blocks(self, boson2):
         expr = parse_expression("c(1) + a(1)", 2)
         blocks = evaluation_blocks(expr, boson2, 1)
         assert set(blocks) == {0, 2}
-        assert blocks[0].shape == (1, 2)
-        assert blocks[2].shape == (4, 2)
+        assert blocks[0].mat.shape == (1, 2)
+        assert blocks[2].mat.shape == (4, 2)
 
     def test_annihilating_term_contributes_zero_block(self, boson2):
         expr = parse_expression("c(1) a(1)", 2)
         blocks = evaluation_blocks(expr, boson2, 0)
         assert set(blocks) == {0}
-        assert np.array_equal(blocks[0], np.zeros((1, 1)))
+        assert np.array_equal(blocks[0].mat, np.zeros((1, 1)))
 
     def test_size_limit_propagates(self, boson2, monkeypatch):
         monkeypatch.setattr(fock, "SECTOR_CAP", 8)
@@ -298,8 +304,8 @@ class TestEvaluate:
             target = degree + shift
             if target < 0:
                 continue
-            forward = evaluation_blocks(expr, boson2, degree).get(target)
-            backward = evaluation_blocks(star(expr), boson2, target).get(degree)
+            forward = evaluation_blocks(expr, boson2, degree)[target].mat
+            backward = evaluation_blocks(star(expr), boson2, target)[degree].mat
             gram_target = gram_matrix(boson2, target).mat
             gram_source = gram_matrix(boson2, degree).mat
             assert max_abs(
@@ -430,23 +436,32 @@ class TestReferences:
                         assert blocks_residual(got, ref) <= 1e-12
 
     def test_terms_share_their_trailing_annihilators(self, twisted2, monkeypatch):
-        # one level product per distinct all-annihilator suffix that stays
-        # above the vacuum, however many terms of the normal form end in it
+        # one slice read per distinct all-annihilator suffix that stays above
+        # the vacuum and per source block on which the suffix one letter
+        # shorter lives, however many terms of the normal form end in it
         n = 3
         nf = normal_order(parse_expression("a(1) a(2) a(1) c(1) c(2) c(1)", 2), twisted2)
-        calls = []
-        real = wick.annihilation_matrix
+        reads = []
+        real = fock._Walk.slices
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(walk, m):
+            reads.append(m)
+            return real(walk, m)
 
-        monkeypatch.setattr(wick, "annihilation_matrix", counted)
+        monkeypatch.setattr(fock._Walk, "slices", counted)
         got = evaluation_blocks(nf, twisted2, n)
+        counts = fock._content_heads(2, n)[0]
+
+        def lives(suffix, c):
+            return all(counts[c][s - 1] >= sum(g.species == s for g in suffix) for s in (1, 2))
+
         suffixes = {word[k:] for word in nf.terms for k in range(len(word))
                     if len(word) - k <= n and all(g.kind == "a" for g in word[k:])}
-        steps = sum(min(n, sum(g.kind == "a" for g in word)) for word in nf.terms)
-        assert len(calls) == len(suffixes) == 7 < steps
+        shared = sum(lives(suffix[1:], c) for suffix in suffixes for c in range(len(counts)))
+        unshared = sum(lives(word[k + 1:], c) for word in nf.terms for k in range(len(word))
+                       if len(word) - k <= n and all(g.kind == "a" for g in word[k:])
+                       for c in range(len(counts)))
+        assert len(reads) == shared == 21 < unshared == 61
         assert blocks_residual(got, dense_blocks(nf, twisted2, n)) <= 1e-12
 
     def test_evaluation_dead_and_dropped_terms(self, twisted2):
@@ -455,7 +470,7 @@ class TestReferences:
         expr = parse_expression("c(1) a(1) a(1) + a(1) a(2) + c(2)", 2)
         got = evaluation_blocks(expr, twisted2, 1)
         assert set(got) == {0, 2}
-        assert np.array_equal(got[0], np.zeros((1, 2)))
+        assert np.array_equal(got[0].mat, np.zeros((1, 2)))
         assert blocks_residual(got, dense_blocks(expr, twisted2, 1)) == 0.0
         # on sector 0 the annihilators after the first creator meet the vacuum
         expr = parse_expression("c(1) c(2) a(1) a(2) c(1)", 2)
@@ -489,12 +504,66 @@ class TestEvaluationMemory:
         for form in (expr, normal_order(expr, system)):
             fock.clear_cache()
             got = evaluation_blocks(form, system, n)
-            built = {key[2] for key in fock._CACHE if key[0] == "annihilation" and not key[3]}
+            built = {key[2] for key in fock._CACHE if key[0] == "annihilation"}
             assert max(built, default=0) <= n, sorted(built)
             ref = dense_blocks(form, system, n)
             assert set(got) == set(ref)
             scale = max(1.0, *(max_abs(block) for block in ref.values()))
             assert blocks_residual(got, ref) <= 1e-12 * scale
+
+
+class TestEvaluationPieces:
+    """Graded systems: the pieces of every target block against the dense composition."""
+
+    @staticmethod
+    def graded():
+        return [twisted_ccr(2, 0.6), twisted_ccr(3, 0.7), make_preset("boson", 3),
+                make_preset("phase", 3, phi=phase_phi(3, np.pi / 3))]
+
+    @pytest.mark.parametrize("text", [
+        # the terms shift the letter content differently within one target
+        "a(1) c(2) + c(1) a(1)",
+        "a(1) c(2) + (0.5,1) c(2) a(1) + c(1) a(1) - 2 1",
+        # dead terms: below the vacuum, in every block, and target < 0
+        "c(1) a(1) a(1) + a(1) a(2) a(2) + c(2) + c(1) c(2) a(1) a(2) c(1)",
+        # rows at nonzero offsets inside a block: the creators place the
+        # running block after other runs, then annihilators read it there
+        "a(2) c(2) a(1) a(1) + a(1) c(2) a(2) + c(2) c(1) a(1)",
+        "a(1) a(2) a(1) c(2) c(1) c(2) + a(3) c(3) c(2) a(1)",
+    ])
+    def test_pieces_match_the_dense_composition(self, fresh_cache, text):
+        for system in self.graded():
+            if system.dim < 3 and "(3)" in text:
+                continue
+            expr = parse_expression(text, system.dim)
+            for form in (expr, normal_order(expr, system)):
+                for n in range(4):
+                    got = evaluation_blocks(form, system, n)
+                    ref = dense_blocks(form, system, n)
+                    assert set(got) == set(ref), (system.label, n)
+                    for target, block in got.items():
+                        assert block.by_content and block.shape == ref[target].shape
+                        scale = max(1.0, max_abs(ref[target]))
+                        assert max_abs(block.mat - ref[target]) <= 1e-12 * scale
+                        # every piece maps a source block into one target block
+                        for (b, c), piece in block.pieces.items():
+                            assert piece.shape == (len(block.rows[b]), len(block.cols[c]))
+
+    def test_graded_evaluation_reads_no_whole_sector_slice(self, fresh_cache):
+        expr = parse_expression("a(1) a(2) c(2) c(1) + c(2) a(2) + a(1) c(2)", 2)
+        for system in self.graded():
+            fock.clear_cache()
+            for n in range(4):
+                evaluation_blocks(expr, system, n)
+                evaluation_blocks(normal_order(expr, system), system, n)
+            assert not any(key[0] == "annihilation" and not key[3] for key in fock._CACHE)
+            assert any(key[0] == "annihilation" and key[3] for key in fock._CACHE)
+
+    def test_one_block_is_the_dense_matrix(self):
+        system = haar_rotated(twisted_ccr(2, 0.6), np.random.default_rng(47))
+        got = evaluation_blocks(parse_expression("a(1) c(2) + c(1)", 2), system, 2)
+        assert not got[2].by_content and set(got[2].pieces) == {(0, 0)}
+        assert got[2].mat is got[2].pieces[(0, 0)]
 
 
 class TestCrossSymmetryAxioms:
