@@ -208,10 +208,7 @@ def _cmd_normal_order(args) -> int:
                 right = rhs[key].pieces if key in rhs else {}
                 # Entries outside the pieces are zero on both sides.
                 for piece in set(left) | set(right):
-                    if piece in left and piece in right:
-                        residuals.append(max_abs(left[piece] - right[piece]))
-                    else:
-                        residuals.append(max_abs(left.get(piece, right.get(piece))))
+                    residuals.append(max_abs(left.get(piece, 0) - right.get(piece, 0)))
         # np.max keeps a NaN residual, which then fails the check below.
         worst = float(np.max(residuals, initial=0.0))
     payload = {

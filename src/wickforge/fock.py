@@ -80,17 +80,20 @@ def _sector_dim(n_species: int, n: int) -> int:
     return dim
 
 
-def _check_entries(rows: int, cols: int, what: str) -> None:
+def _check_entries(rows: int, cols: int, what: str, held: int = 0) -> None:
     """The size rule for one dense matrix built from sectors, raising SizeLimit above the cap.
 
     Checked before allocating the matrices whose size a sector does not bound
     by itself: annihilation slices, Gram blocks, the per-block generator
     stack and the scattered ideal bases, the dense Gram matrix and quotient
-    projector, and the pieces, dense matrices and placed annihilation stacks
-    of :func:`~wickforge.wick.evaluation_blocks`.
+    projector, and the dense matrices and placed annihilation stacks of
+    :func:`~wickforge.wick.evaluation_blocks`.  A set of matrices that stands
+    for one dense matrix (the pieces of an evaluation block) is bounded as a
+    whole: ``held`` counts the entries of the set allocated before this one.
     """
-    if rows * cols > ENTRY_CAP:
-        raise SizeLimit(f"{what} of {rows} x {cols} entries exceeds cap {ENTRY_CAP}")
+    if held + rows * cols > ENTRY_CAP:
+        raise SizeLimit(f"{what} of {rows} x {cols} entries exceeds cap {ENTRY_CAP}"
+                        + (f" with the {held} entries held beside it" if held else ""))
 
 
 def _check_species(system: StatisticsSystem, i: int) -> None:
@@ -234,10 +237,10 @@ def _annihilation_slices(
     if cached is not None:
         return cached
     n_sp = system.dim
-    heads = _partition(n_sp, m, by_content)[1]
-    for runs in heads:  # refused before the recursion builds anything
+    _, heads, sizes, _ = _partition(n_sp, m, by_content)
+    for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
         for _, lo, hi in runs.values():
-            _check_entries(hi - lo, _block_size(runs), "annihilation slice")
+            _check_entries(hi - lo, size, "annihilation slice")
     terms: dict[tuple[int, int], list] = {}
     if m > 1:
         prev = _annihilation_slices(system, m - 1, by_content)
@@ -246,10 +249,10 @@ def _annihilation_slices(
         for k0, l0, i0, j0 in zip(*(idx.tolist() for idx in np.nonzero(t4))):
             terms.setdefault((i0, j0), []).append((k0, l0, t4[k0, l0, i0, j0]))
     out = []
-    for runs in heads:
+    for runs, size in zip(heads, sizes):
         slices = [None] * n_sp
         for i0, (_, lo, hi) in runs.items():
-            slices[i0] = np.zeros((hi - lo, _block_size(runs)), dtype=complex)
+            slices[i0] = np.zeros((hi - lo, size), dtype=complex)
             diag = np.arange(hi - lo)
             slices[i0][diag, lo + diag] = 1.0
         for i0, (p_i, _, _) in runs.items():
@@ -273,33 +276,6 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
     _sector_dim(system.dim, n)
     return _annihilation_slices(system, n, False)[0][i - 1]
-
-
-def _walk_level(n_species: int, d: int, by_content: bool) -> tuple:
-    """Sector d of :class:`_Walk`: ``(heads, sizes, grow)``, cached.
-
-    ``heads`` are those of :func:`_partition`, ``sizes[b]`` is the number of
-    words of block b, and ``grow[j0][p] = (b, lo)`` says that prepending
-    letter j0 + 1 to block p of sector d-1 gives the run of block b that
-    starts at position ``lo`` (None at d = 0).  The words of the blocks are
-    not formed.
-    """
-    key = ("walklevel", n_species, d, by_content)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    if by_content:
-        _, heads, sizes = _content_heads(n_species, d)
-    else:
-        heads, sizes = _partition(n_species, d, False)[1], (n_species**d,)
-    grow = None
-    if d:
-        grow = [[None] * (1 + max(p for runs in heads for p, _, _ in runs.values()))
-                for _ in range(n_species)]
-        for b, runs in enumerate(heads):
-            for j0, (p, lo, _) in runs.items():
-                grow[j0][p] = (b, lo)
-    return _cache_put(key, (heads, sizes, grow))
 
 
 def _walk_species(system: StatisticsSystem) -> tuple:
@@ -335,24 +311,33 @@ class _Walk:
     """The lookups of one evaluation on the word blocks of sector ``floor``, read without locks.
 
     The blocks are those of :func:`_partition`, by letter content when
-    :func:`_content_graded` holds and one block per sector otherwise.  For
-    every degree d up to ``top`` the walk holds ``heads[d]`` and ``sizes[d]``,
-    and ``grow[d]``, which maps a block of sector d and a prepended letter to
-    a run of sector d + 1 (:func:`_walk_level`).
-    ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`).
-    :meth:`slices` reads the annihilation slices of a degree ``<= floor``.
+    :func:`_content_graded` holds and one block per sector otherwise.
+    :meth:`level` reads the heads, sizes and growth of a sector and
+    :meth:`slices` the annihilation slices of a degree ``<= floor``; each
+    takes the cache lock once per degree and call.  ``species[i0]`` is what
+    ``A_i0`` needs of T (:func:`_walk_species`).
     """
 
-    def __init__(self, system: StatisticsSystem, floor: int, top: int):
-        n_sp = system.dim
-        _sector_dim(n_sp, top)
-        self.system, self.n_species, self.floor = system, n_sp, floor
+    def __init__(self, system: StatisticsSystem, floor: int):
+        self.system, self.n_species, self.floor = system, system.dim, floor
         self.by_content = _content_graded(system)
-        levels = [_walk_level(n_sp, d, self.by_content) for d in range(top + 1)]
-        self.heads, self.sizes, grow = zip(*levels)
-        self.grow = grow[1:]
         self.species = _walk_species(system)
+        self._levels = {}
         self._slices = {}
+
+    def level(self, d: int) -> tuple:
+        """``(heads, sizes, grow)`` of sector d (:func:`_partition`), checked against the sector cap.
+
+        Content blocks are read from :func:`_content_heads`, so no word
+        offsets are formed for the degrees above ``floor`` that the walk
+        passes through.
+        """
+        found = self._levels.get(d)
+        if found is None:
+            _sector_dim(self.n_species, d)
+            found = self._levels[d] = (_content_heads(self.n_species, d) if self.by_content
+                                       else _partition(self.n_species, d, False))[1:]
+        return found
 
     def slices(self, m: int) -> tuple:
         """The annihilation slices of sector ``1 <= m <= floor`` on the walk's blocks."""
@@ -382,7 +367,6 @@ def _annihilate_placed(
     On a one-block partition this is the recursion on the whole sector.
     """
     wanted, rules = species
-    runs = walk.heads[m][b]
     out = [None] * walk.n_species
     if m <= walk.floor:
         found = walk.slices(m)[b]
@@ -391,12 +375,12 @@ def _annihilate_placed(
                 out[l0] = found[l0][:, rows] if block is None else found[l0][:, rows] @ block
         return out
     cols = rows.stop - rows.start if block is None else block.shape[1]
-    below = walk.sizes[m - 1]
+    runs = walk.level(m)[0][b]
+    tails, below, _ = walk.level(m - 1)
     targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
     _check_entries(sum(below[p] for _, p in targets), cols, "placed annihilation stack")
     for i0, p in targets:
         out[i0] = np.zeros((below[p], cols), dtype=complex)
-    tails = walk.heads[m - 1]
     first, last = rows.start, rows.stop
     for j0, (p, lo, hi) in runs.items():
         start, stop = (lo if lo > first else first), (hi if hi < last else last)
@@ -441,9 +425,9 @@ def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
         blocks = (np.ones((1, 1), dtype=complex),)
     else:
         by_content = _content_graded(system)
-        heads = _partition(system.dim, n, by_content)[1]
-        for runs in heads:  # refused before the recursion builds anything
-            _check_entries(_block_size(runs), _block_size(runs), "Gram block")
+        _, heads, sizes, _ = _partition(system.dim, n, by_content)
+        for size in sizes:  # refused before the recursion builds anything
+            _check_entries(size, size, "Gram block")
         prev = _gram_blocks(system, n - 1)
         blocks = [np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
                   for runs, slices in zip(heads, _annihilation_slices(system, n, by_content))]
@@ -475,15 +459,15 @@ def quotient_gram(system: StatisticsSystem, n: int,
 
 
 def _content_heads(n_species: int, n: int) -> tuple:
-    """Letter-content blocks of sector n without their words: (counts, heads, sizes).
+    """Letter-content blocks of sector n without their words: (counts, heads, sizes, grow).
 
     ``counts[b]`` is the letter-count tuple of block b and ``sizes[b]`` its
     number of words.  Blocks are numbered in ascending order of their
     sorted-letter tuples, which is descending order of the count tuples.
     Sector n grows from sector n-1: the word ``x^j (x) w`` has the counts of
     w plus one letter j, and the words of block p with letter j0 + 1
-    prepended form one run of the block of those counts.  ``heads`` are
-    those of :func:`_partition`.
+    prepended form one run of the block of those counts.  ``heads`` and
+    ``grow`` are those of :func:`_partition`.
     """
     key = ("heads", n_species, n)
     cached = _cache_get(key)
@@ -491,23 +475,25 @@ def _content_heads(n_species: int, n: int) -> tuple:
         return cached
     _sector_dim(n_species, n)
     if n == 0:
-        return _cache_put(key, (((0,) * n_species,), ({},), (1,)))
-    prev_counts, _, prev_sizes = _content_heads(n_species, n - 1)
+        return _cache_put(key, (((0,) * n_species,), ({},), (1,), None))
+    prev_counts, _, prev_sizes, _ = _content_heads(n_species, n - 1)
     grown = [[c[:j0] + (c[j0] + 1,) + c[j0 + 1:] for c in prev_counts] for j0 in range(n_species)]
     counts = sorted({c for row in grown for c in row}, reverse=True)
     index = {c: b for b, c in enumerate(counts)}
     heads = tuple({} for _ in counts)
+    grow = tuple([None] * len(prev_counts) for _ in range(n_species))
     fill = [0] * len(counts)
     for j0, row in enumerate(grown):
         for p, c in enumerate(row):
             b = index[c]
             heads[b][j0] = (p, fill[b], fill[b] + prev_sizes[p])
+            grow[j0][p] = (b, fill[b])
             fill[b] += prev_sizes[p]
-    return _cache_put(key, (tuple(counts), heads, tuple(fill)))
+    return _cache_put(key, (tuple(counts), heads, tuple(fill), grow))
 
 
 def _content_partition(n_species: int, n: int) -> tuple:
-    """Letter-content blocks of sector n and their heads (:func:`_content_heads`).
+    """Letter-content blocks of sector n with their heads, sizes and grow (:func:`_content_heads`).
 
     Run j0 of block b holds the words of its block p of sector n-1 with
     letter j0 + 1 prepended, that is the offsets of block p plus ``j0 *
@@ -517,7 +503,7 @@ def _content_partition(n_species: int, n: int) -> tuple:
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    _, heads, _ = _content_heads(n_species, n)
+    _, heads, sizes, grow = _content_heads(n_species, n)
     if n == 0:
         blocks = (np.zeros(1, dtype=np.intp),)
     else:
@@ -527,7 +513,7 @@ def _content_partition(n_species: int, n: int) -> tuple:
                        for runs in heads)
     for arr in blocks:
         arr.setflags(write=False)
-    return _cache_put(key, (blocks, heads))
+    return _cache_put(key, (blocks, heads, sizes, grow))
 
 
 def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
@@ -586,26 +572,27 @@ def _apply_tensor_power(w: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
-def _partition(n_species: int, n: int, by_content: bool) -> tuple[tuple, tuple]:
-    """Word blocks of sector n and, per block, its heads ``{j0: (p, lo, hi)}``.
+def _partition(n_species: int, n: int, by_content: bool) -> tuple[tuple, tuple, tuple, tuple]:
+    """Word blocks of sector n with their heads, sizes and growth: (blocks, heads, sizes, grow).
 
     With ``by_content`` the blocks are the :func:`content_blocks`; otherwise
-    the sector is one block, a plain slice.  A head says that the words of
-    the block beginning with letter j0 + 1 sit at positions ``lo:hi`` of the
-    block (ascending offsets put them in one run), and that their tails are
-    the words of block p of sector n-1, in the same order.
+    the sector is one block, a plain slice.  The head ``{j0: (p, lo, hi)}``
+    of a block says that its words beginning with letter j0 + 1 sit at
+    positions ``lo:hi`` of the block (ascending offsets put them in one run),
+    and that their tails are the words of block p of sector n-1, in the same
+    order.  ``sizes[b]`` is the number of words of block b, and ``grow[j0][p]
+    = (b, lo)`` inverts the heads: letter j0 + 1 prepended to block p of
+    sector n-1 gives the run of block b that starts at ``lo`` (None at n = 0).
     """
     if by_content:
         return _content_partition(n_species, n)
     dim = _sector_dim(n_species, n)
+    if not n:
+        return (slice(0, 1),), ({},), (1,), None
     size = dim // n_species
-    heads = {j0: (0, j0 * size, (j0 + 1) * size) for j0 in range(n_species)} if n else {}
-    return (slice(0, dim),), (heads,)
-
-
-def _block_size(runs: dict) -> int:
-    """Number of words in a block of sector n >= 1, from its heads: the end of the last run."""
-    return max(hi for _, _, hi in runs.values())
+    heads = {j0: (0, j0 * size, (j0 + 1) * size) for j0 in range(n_species)}
+    grow = tuple([(0, j0 * size)] for j0 in range(n_species))
+    return (slice(0, dim),), (heads,), (dim,), grow
 
 
 def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, ...]:

@@ -566,41 +566,19 @@ def evaluation_blocks(
     lacks the letter of an annihilator.  The state after an all-annihilator
     suffix is kept per source block for the call: the terms ``c_w a_v`` of a
     normal form that share ``a_v`` compute it once.  The term is added in
-    place to the rows of its piece.
+    place to the rows of its piece.  The pieces of a target degree stand for
+    its dense matrix and are bounded together by the entry cap, checked
+    before each piece is allocated.
     """
     n_sp = system.dim
     _sector_dim(n_sp, n)
-    # Every target degree gets a block, even if all its terms die.  Per live
-    # term: its letters right to left as (is creator, species index), the
-    # length of its all-annihilator suffix, and its target; top is the
-    # highest degree any walk reaches.
+    walk = _Walk(system, n)
+    level, species = walk.level, walk.species
+    widths = level(n)[1]
+    # Every target degree gets a block, even if all its terms die; the
+    # entries of its pieces are bounded together, as its dense matrix is.
     pieces: dict[int, dict] = {}
-    plans = []
-    top = n
-    for word, coeff in expr._terms.items():
-        _check_word_species(word, n_sp)
-        target = n + sum(1 if g.kind == "c" else -1 for g in word)
-        if target < 0:
-            continue
-        pieces.setdefault(target, {})
-        top = max(top, target)
-        split = 0
-        for gen in reversed(word):
-            if gen.kind == "c" or split > n:
-                break
-            split += 1
-        if split > n:  # the suffix meets the vacuum
-            continue
-        letters = tuple((g.kind == "c", g.species - 1) for g in reversed(word))
-        degree = n - split
-        for creates, _ in letters[split:]:
-            if not creates and degree == 0:
-                break
-            degree += 1 if creates else -1
-            top = max(top, degree)
-        plans.append((letters, split, coeff, target))
-    walk = _Walk(system, n, top)
-    heads, sizes, grow, species = walk.heads, walk.sizes, walk.grow, walk.species
+    entries: dict[int, int] = {}
     trailing: dict[tuple, tuple | None] = {}
 
     def settle(suffix: tuple, c: int) -> tuple | None:
@@ -614,20 +592,36 @@ def evaluation_blocks(
                 trailing[key] = None
             else:
                 mat, b = state
-                trailing[key] = (found if mat is None else found @ mat, heads[degree][b][i0][0])
+                trailing[key] = (found if mat is None else found @ mat,
+                                 level(degree)[0][b][i0][0])
         return trailing[key]
 
-    for letters, split, coeff, target in plans:
-        held = pieces[target]
+    for word, coeff in expr._terms.items():
+        _check_word_species(word, n_sp)
+        target = n + sum(1 if g.kind == "c" else -1 for g in word)
+        if target < 0:
+            continue
+        _sector_dim(n_sp, target)
+        held = pieces.setdefault(target, {})
+        # letters right to left as (is creator, species index), and the
+        # length of the all-annihilator suffix
+        letters = tuple((g.kind == "c", g.species - 1) for g in reversed(word))
+        split = 0
+        for creates, _ in letters:
+            if creates or split > n:
+                break
+            split += 1
+        if split > n:  # the suffix meets the vacuum
+            continue
         suffix = tuple(i0 for _, i0 in letters[:split])
-        for c, width in enumerate(sizes[n]):
+        for c, width in enumerate(widths):
             state = settle(suffix, c) if split else (None, c)
             if state is None:
                 continue
             (mat, b), degree, row = state, n - split, 0
             for creates, i0 in letters[split:]:
                 if creates:
-                    b, lo = grow[degree][i0][b]
+                    b, lo = level(degree + 1)[2][i0][b]
                     row, degree = row + lo, degree + 1
                     continue
                 if degree == 0:
@@ -641,12 +635,15 @@ def evaluation_blocks(
                         found[:, rows] if mat is None else found[:, rows] @ mat)
                 if mat is None:  # block b lacks the letter
                     break
-                b, degree, row = heads[degree][b][i0][0], degree - 1, 0
+                b, degree, row = level(degree)[0][b][i0][0], degree - 1, 0
             else:
                 piece = held.get((b, c))
                 if piece is None:
-                    _check_entries(sizes[target][b], width, "evaluation piece")
-                    piece = held[(b, c)] = np.zeros((sizes[target][b], width), dtype=complex)
+                    height, done = level(target)[1][b], entries.get(target, 0)
+                    _check_entries(height, width, f"evaluation piece to sector {target}",
+                                   held=done)
+                    entries[target] = done + height * width
+                    piece = held[(b, c)] = np.zeros((height, width), dtype=complex)
                 if mat is None:
                     diag = np.arange(width)
                     piece[row + diag, diag] += coeff

@@ -144,6 +144,10 @@ class TestEntryCap:
 
     def test_real_cap_refuses_before_allocating(self, fresh_cache, boson2):
         # in sectors under SECTOR_CAP, refused before anything of their size is built
+        # the pieces of one target degree are bounded together: those of c(1)
+        # on sector 13 hold C(27, 13) = 20M entries, though each is under the cap
+        with pytest.raises(SizeLimit, match="evaluation piece to sector 14 .* held beside it"):
+            wick.evaluation_blocks(wick.parse_expression("c(1)", 2), boson2, 13)
         # the dense matrix of a blockwise evaluation, from pieces of 1.2M entries
         boson4 = make_preset("boson", 4)
         blocks = wick.evaluation_blocks(wick.parse_expression("c(1)", 4), boson4, 6)
@@ -266,7 +270,7 @@ def placed_reference(system, walk, m, b, rows, block):
         full = annihilation_matrix(system, l0 + 1, m)[:, offsets[rows]]
         if block is not None:
             full = full @ block
-        head = walk.heads[m][b].get(l0)
+        head = walk.level(m)[0][b].get(l0)
         inside = [] if head is None else np.arange(n_sp ** (m - 1))[below[head[0]]]
         refs.append((None if head is None else full[inside],
                      max_abs(np.delete(full, inside, axis=0))))
@@ -295,11 +299,11 @@ def assert_placed(system, walk, m, b, rows, block, what):
 def creator_placements(walk, floor, m):
     """``(c, b, row)`` for every source block c of sector floor and every creator word of length m - floor."""
     out = []
-    for c in range(len(walk.sizes[floor])):
-        for letters in product(range(len(walk.species)), repeat=m - floor):
+    for c in range(len(walk.level(floor)[1])):
+        for letters in product(range(walk.n_species), repeat=m - floor):
             b, row = c, 0
             for d, j0 in enumerate(letters, floor):
-                b, lo = walk.grow[d][j0][b]
+                b, lo = walk.level(d + 1)[2][j0][b]
                 row += lo
             out.append((c, b, row))
     return out
@@ -320,9 +324,9 @@ class TestPlacedAnnihilation:
             for m in range(1, max_degree + 1):
                 floors = {m - 1, m // 2} | ({0} if n_species**m <= 81 else set())
                 for floor in floors:
-                    walk = fock._Walk(system, floor, m)
+                    walk = fock._Walk(system, floor)
                     for c, b, row in creator_placements(walk, floor, m):
-                        rows = slice(row, row + walk.sizes[floor][c])
+                        rows = slice(row, row + walk.level(floor)[1][c])
                         assert_placed(system, walk, m, b, rows, None,
                                       (system.label, m, floor, b, row))
 
@@ -332,9 +336,10 @@ class TestPlacedAnnihilation:
         for system in self.systems(n_species):
             for m in range(1, max_degree + 1):
                 for floor in sorted({0, m // 2, m - 1, m}):
-                    walk = fock._Walk(system, floor, m)
-                    b = int(rng.integers(len(walk.sizes[m])))
-                    runs, size = walk.heads[m][b], walk.sizes[m][b]
+                    walk = fock._Walk(system, floor)
+                    heads, sizes, _ = walk.level(m)
+                    b = int(rng.integers(len(sizes)))
+                    runs, size = heads[b], sizes[b]
                     # a dense block of any height at any offset, straddling first letters
                     height = int(rng.integers(1, size + 1))
                     row = int(rng.integers(0, size - height + 1))
@@ -359,7 +364,7 @@ class TestPlacedAnnihilation:
             # the oracle walks every rewrite path: keep dense-T paths short
             top = max_degree if is_graded(system.cross) else max_degree - 5 + n_species
             for m in range(1, top + 1):
-                walk = fock._Walk(system, 0, m)
+                walk = fock._Walk(system, 0)
                 blocks = fock._partition(n_species, m, walk.by_content)[0]
                 below = fock._partition(n_species, m - 1, walk.by_content)[0]
                 for word_offset in rng.choice(n_species**m, 3):
@@ -377,7 +382,7 @@ class TestPlacedAnnihilation:
                         if got is None:
                             assert max_abs(ref) == 0.0, (system.label, m, word, l)
                             continue
-                        inside = np.arange(n_species ** (m - 1))[below[walk.heads[m][b][l - 1][0]]]
+                        inside = np.arange(n_species ** (m - 1))[below[walk.level(m)[0][b][l - 1][0]]]
                         assert_close(got[:, 0], ref[inside], (system.label, m, word, l))
                         assert max_abs(np.delete(ref, inside)) <= 1e-12 * max(1.0, max_abs(ref))
 
@@ -391,7 +396,7 @@ class TestPlacedAnnihilation:
         assert [wanted for wanted, _ in fock._walk_species(rotated)] == [(0, 1), (0, 1)]
 
     def test_builds_no_level_above_the_floor(self, fresh_cache, boson2):
-        walk = fock._Walk(boson2, 2, 8)
+        walk = fock._Walk(boson2, 2)
         fock._annihilate_placed(walk, 8, 3, slice(5, 8), np.ones((3, 2)), walk.species[0])
         built = {key[2] for key in fock._CACHE if key[0] == "annihilation"}
         assert built and max(built) <= 2
