@@ -177,15 +177,6 @@ class PositivityReport:
     positive_semidefinite: bool
     positive_definite: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_eig": self.min_eig,
-            "kernel_dim": self.kernel_dim,
-            "positive_semidefinite": self.positive_semidefinite,
-            "positive_definite": self.positive_definite,
-        }
-
 
 def sector_basis(n_species: int, n: int) -> FockSector:
     """All words of length n over 1..n_species, lexicographic."""
@@ -224,10 +215,10 @@ def _annihilation_slices(
 
     Letters that c lacks get None.  The rows of a slice are the block c - e_i
     of sector m-1 that the head of letter i names, its columns the words of
-    c.  The recursion builds it from the slices of degree m-1: the identity
-    on column run i, plus ``T^{ij}_{kl}`` times slice l of block c - e_j in
-    row run k and column run j, for every nonzero of T.  The terms of an
-    entry are added in the order of ``np.nonzero(T)``, delta first, so the
+    c.  Block c's slices are one step of :func:`_annihilate_placed` on its
+    identity over the slices of degree m-1: the identity on column run i, plus
+    ``T^{ij}_{kl}`` times slice l of block c - e_j in row run k and column
+    run j, for every nonzero of T in the order of ``np.nonzero(T)``, so the
     slices of the whole-sector partition are the dense levels, entry for
     entry.  The content partition needs T graded: then row run k of block
     c - e_i holds exactly the rows of slice l of block c - e_j.
@@ -241,27 +232,13 @@ def _annihilation_slices(
     for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
         for _, lo, hi in runs.values():
             _check_entries(hi - lo, size, "annihilation slice")
-    terms: dict[tuple[int, int], list] = {}
-    if m > 1:
-        prev = _annihilation_slices(system, m - 1, by_content)
-        prev_heads = _partition(n_sp, m - 1, by_content)[1]
-        t4 = system.cross.tensor()
-        for k0, l0, i0, j0 in zip(*(idx.tolist() for idx in np.nonzero(t4))):
-            terms.setdefault((i0, j0), []).append((k0, l0, t4[k0, l0, i0, j0]))
+    walk = _Walk(system, m - 1, by_content)
     out = []
-    for runs, size in zip(heads, sizes):
+    for b, (runs, size) in enumerate(zip(heads, sizes)):
         slices = [None] * n_sp
         for i0, (_, lo, hi) in runs.items():
             slices[i0] = np.zeros((hi - lo, size), dtype=complex)
-            diag = np.arange(hi - lo)
-            slices[i0][diag, lo + diag] = 1.0
-        for i0, (p_i, _, _) in runs.items():
-            for j0, (p_j, lo, hi) in runs.items():
-                for k0, l0, coeff in terms.get((i0, j0), ()):
-                    rows, below = prev_heads[p_i], prev[p_j]
-                    if k0 in rows and below[l0] is not None:
-                        _, top, bottom = rows[k0]
-                        slices[i0][top:bottom, lo:hi] += coeff * below[l0]
+        _annihilate_placed(walk, m, b, slice(0, size), None, walk.species[-1], slices)
         for mat in slices:
             if mat is not None:
                 mat.setflags(write=False)
@@ -279,12 +256,12 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
 
 
 def _walk_species(system: StatisticsSystem) -> tuple:
-    """Per species index s0: the species set that A_s0 needs and the nonzeros of T it reads.
+    """Per species index s0, then for all species: the species set needed and the T nonzeros read.
 
-    The set is the smallest one that holds s0 and every l of a nonzero
-    ``T^{ij}_{kl}`` with i in it (``{s0}`` for a flip-scaled T).  The
-    nonzeros are listed per first letter j0 as ``(k0, l0, i0, T^{i0
-    j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``.
+    The set is the smallest one that holds s0 (all, in the last entry) and
+    every l of a nonzero ``T^{ij}_{kl}`` with i in it (``{s0}`` for a
+    flip-scaled T).  The nonzeros are listed per first letter j0 as ``(k0,
+    l0, i0, T^{i0 j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``.
     """
     key = ("walkspecies", system.content_key)
     cached = _cache_get(key)
@@ -294,33 +271,35 @@ def _walk_species(system: StatisticsSystem) -> tuple:
     t4 = system.cross.tensor()
     nonzeros = list(zip(*(idx.tolist() for idx in np.nonzero(t4))))
     feeds = [{l0 for _, l0, i0, _ in nonzeros if i0 == s0} for s0 in range(n_sp)]
+    by_first = [[] for _ in range(n_sp)]
+    for k0, l0, i0, j0 in nonzeros:
+        by_first[j0].append((k0, l0, i0, t4[k0, l0, i0, j0]))
     out = []
-    for s0 in range(n_sp):
-        closed, todo = {s0}, [s0]
+    for start in [{s0} for s0 in range(n_sp)] + [set(range(n_sp))]:
+        closed, todo = set(start), list(start)
         while todo:
             new = feeds[todo.pop()] - closed
             closed |= new
             todo.extend(new)
-        rules = tuple(tuple((k0, l0, i0, t4[k0, l0, i0, j0]) for k0, l0, i0, j0 in nonzeros
-                            if j0 == f0 and i0 in closed) for f0 in range(n_sp))
+        rules = tuple(tuple(rule for rule in row if rule[2] in closed) for row in by_first)
         out.append((tuple(sorted(closed)), rules))
     return _cache_put(key, tuple(out))
 
 
 class _Walk:
-    """The lookups of one evaluation on the word blocks of sector ``floor``, read without locks.
+    """The lookups of one recursion on the word blocks of sector ``floor``, read without locks.
 
     The blocks are those of :func:`_partition`, by letter content when
-    :func:`_content_graded` holds and one block per sector otherwise.
-    :meth:`level` reads the heads, sizes and growth of a sector and
-    :meth:`slices` the annihilation slices of a degree ``<= floor``; each
-    takes the cache lock once per degree and call.  ``species[i0]`` is what
-    ``A_i0`` needs of T (:func:`_walk_species`).
+    ``by_content`` (by default :func:`_content_graded`) holds and one block
+    per sector otherwise.  :meth:`level` reads the heads, sizes and growth of
+    a sector and :meth:`slices` the annihilation slices of a degree ``<=
+    floor``; each takes the cache lock once per degree and call.
+    ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`).
     """
 
-    def __init__(self, system: StatisticsSystem, floor: int):
+    def __init__(self, system: StatisticsSystem, floor: int, by_content: bool | None = None):
         self.system, self.n_species, self.floor = system, system.dim, floor
-        self.by_content = _content_graded(system)
+        self.by_content = _content_graded(system) if by_content is None else by_content
         self.species = _walk_species(system)
         self._levels = {}
         self._slices = {}
@@ -348,39 +327,44 @@ class _Walk:
 
 
 def _annihilate_placed(
-    walk: _Walk, m: int, b: int, rows: slice, block: np.ndarray | None, species: tuple
+    walk: _Walk, m: int, b: int, rows: slice, block: np.ndarray | None, species: tuple,
+    out: list | None = None,
 ) -> list[np.ndarray | None]:
     """``A_l`` applied to a column block placed in word block b of sector m, for l in a species set.
 
-    The block (``None``: the identity on a word block of sector
-    ``walk.floor``, which creation places inside one first-letter run) fills
-    positions ``rows`` of block b; the other rows are zero.  ``species`` is
-    an entry of ``walk.species``.  Entry l of the result is ``A_l`` of the
-    block on the rows of block ``b - e_l`` of sector m-1 (the head of letter
-    l), for each l of the set whose letter block b holds, and None
-    otherwise.  At degrees ``m <= floor`` the slices ``A_l[b - e_l, b]`` are
-    read on those columns.  Above ``floor`` the one-step recursion acts
-    instead: the rows are split by the first-letter runs of block b, each
+    The block (``None``: the identity) fills positions ``rows`` of block b;
+    the other rows are zero.  ``species`` is an entry of ``walk.species``.
+    Entry l of the result is ``A_l`` of the block on the rows of block ``b -
+    e_l`` of sector m-1 (the head of letter l), for each l of the set whose
+    letter block b holds, and None otherwise.  At degrees ``m <= floor`` the
+    slices ``A_l[b - e_l, b]`` are read on those columns.  Above ``floor``
+    the one-step recursion acts instead, adding into ``out`` when the caller
+    has allocated it (zeros or None per species) and otherwise into zeros
+    allocated here, the entries of all species bounded together by the
+    entry cap.  The rows are split by the first-letter runs of block b, each
     live tail is annihilated one degree down in its block p, and ``A_i``
-    collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x) A_l(tail)``, the second
-    term in run k of block ``b - e_i``.  No slice above ``floor`` is built.
-    On a one-block partition this is the recursion on the whole sector.
+    collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x) A_l(tail)``, the
+    second term in run k of block ``b - e_i`` (for the identity, in the
+    columns of run j).  No slice above ``floor`` is built.  On a one-block
+    partition this is the recursion on the whole sector.
     """
     wanted, rules = species
-    out = [None] * walk.n_species
     if m <= walk.floor:
+        out = [None] * walk.n_species
         found = walk.slices(m)[b]
         for l0 in wanted:
             if found[l0] is not None:
                 out[l0] = found[l0][:, rows] if block is None else found[l0][:, rows] @ block
         return out
-    cols = rows.stop - rows.start if block is None else block.shape[1]
     runs = walk.level(m)[0][b]
     tails, below, _ = walk.level(m - 1)
-    targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
-    _check_entries(sum(below[p] for _, p in targets), cols, "placed annihilation stack")
-    for i0, p in targets:
-        out[i0] = np.zeros((below[p], cols), dtype=complex)
+    if out is None:
+        width = rows.stop - rows.start if block is None else block.shape[1]
+        targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
+        _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
+        out = [None] * walk.n_species
+        for i0, p in targets:
+            out[i0] = np.zeros((below[p], width), dtype=complex)
     first, last = rows.start, rows.stop
     for j0, (p, lo, hi) in runs.items():
         start, stop = (lo if lo > first else first), (hi if hi < last else last)
@@ -389,11 +373,12 @@ def _annihilate_placed(
         part = None if block is None else block[start - first:stop - first]
         if part is not None and not np.count_nonzero(part):
             continue
+        cols = slice(start - first, stop - first) if part is None else slice(None)
         tail = start - lo
         if out[j0] is not None:
             if part is None:
                 diag = np.arange(stop - start)
-                out[j0][tail + diag, diag] = 1.0
+                out[j0][tail + diag, start - first + diag] = 1.0
             else:
                 out[j0][tail:tail + part.shape[0]] += part
         if m == 1:
@@ -402,7 +387,7 @@ def _annihilate_placed(
         for k0, l0, i0, coeff in rules[j0]:
             if inner[l0] is not None:
                 _, top, bottom = tails[runs[i0][0]][k0]
-                out[i0][top:bottom] += coeff * inner[l0]
+                out[i0][top:bottom, cols] += coeff * inner[l0]
     return out
 
 

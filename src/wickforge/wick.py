@@ -427,7 +427,8 @@ def normal_order(expr: OperatorExpression, system: StatisticsSystem) -> NormalFo
     Beside each coefficient the rounds carry its mass, the sum of the
     absolute values of the path contributions merged into it.  A word is
     dropped as cancellation noise when ``|coeff| <= DEFAULT_EPS * mass``; a
-    small coefficient reached without cancellation is kept.
+    small coefficient reached without cancellation is kept.  A coefficient
+    or mass that is not finite (an overflow) raises ValueError.
     """
     n_sp = system.dim
     # Words are coded as strings: c(s) is chr(s) and a(s) is chr(n_sp + s).
@@ -463,11 +464,14 @@ def normal_order(expr: OperatorExpression, system: StatisticsSystem) -> NormalFo
                 child = head + mid + tail
                 acc = swapped if mid else rounds.setdefault(inversions(child), {})
                 _merge(acc, child, c * t, m * t_abs)
-    return NormalForm._trusted({
-        tuple(gens[ord(ch)] for ch in w): c
-        for w, (c, m) in rounds.get(0, {}).items()
-        if abs(c) > DEFAULT_EPS * m
-    })
+    terms = {}
+    for w, (c, m) in rounds.get(0, {}).items():
+        if not (cmath.isfinite(c) and cmath.isfinite(m)):
+            word = _word_text(tuple(gens[ord(ch)] for ch in w))
+            raise ValueError(f"coefficient {c} of {word} in the normal form is not finite")
+        if abs(c) > DEFAULT_EPS * m:
+            terms[tuple(gens[ord(ch)] for ch in w)] = c
+    return NormalForm._trusted(terms)
 
 
 def _merge(acc: dict[str, tuple[complex, float]], w: str, c: complex, m: float) -> None:
@@ -689,8 +693,8 @@ def _psi_action_residual(
                 for form in (normal_order(expr, rewrite_system), expr):
                     blocks = evaluation_blocks(form, fock_system, 0)
                     got = blocks[m - 1].mat[:, 0] if m - 1 in blocks else 0.0
-                    worst = max(worst, max_abs(got - direct[:, col]))
-    return worst
+                    worst = float(np.maximum(worst, max_abs(got - direct[:, col])))
+    return worst  # a NaN is kept, and fails the check
 
 
 def _star_axiom_residual(system: StatisticsSystem, max_degree: int) -> float:
@@ -707,10 +711,8 @@ def _star_axiom_residual(system: StatisticsSystem, max_degree: int) -> float:
                 lhs = star(normal_order(expr, system))
                 rhs = normal_order(star(expr), system)
                 diff = lhs - rhs
-                worst = max(
-                    worst, max((abs(c) for c in diff._terms.values()), default=0.0)
-                )
-    return worst
+                worst = float(np.max([abs(c) for c in diff._terms.values()], initial=worst))
+    return worst  # a NaN is kept, and fails the check
 
 
 def check_cross_symmetry_axioms(

@@ -178,6 +178,28 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in out
 
+    def test_overflowed_law_residual_fails(self, capsys, tmp_path):
+        # a star-law T that fails Yang-Baxter, scaled so that the residual's
+        # products overflow: the NaN residual fails the law
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4)
+        t = 1e110 * (t + np.conj(t.transpose(1, 0, 3, 2))) / 2  # t[k, l, i, j] = T^{ij}_{kl}
+        path = tmp_path / "huge.json"
+        path.write_text(dump_system(StatisticsSystem(cross=CrossOperator(t.reshape(4, 4)))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run(capsys, ["validate", "--file", str(path)])
+        assert code == 1
+        assert "yang_baxter          fail     nan" in out
+        assert out.splitlines()[-1] == "result: FAIL"
+
+    def test_overflowing_normal_form_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["normal-order", "1e200 a(1) a(1) c(1) c(1)",
+                                      "--preset", "quon", "--q", "1e200", "--dim", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "c(1) a(1) in the normal form is not finite" in err
+
     def test_bad_expression_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["normal-order", "c(", "--preset", "boson"])
         assert code == 2

@@ -174,6 +174,17 @@ class TestEntryCap:
             fock.QuotientData(complement_basis=np.zeros((16384, 0))).projector
         assert not cached_level_degrees(2)
 
+    def test_slices_are_bounded_one_by_one(self, fresh_cache, monkeypatch):
+        # the one-block level 3 -> 4 of N = 3 is three slices of 27 x 81; the
+        # placed recursion that fills them would bound them as one 81 x 81 stack
+        phase3 = make_preset("phase", 3, phi=0.7)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 3000)
+        assert annihilation_matrix(phase3, 1, 4).shape == (27, 81)
+        fock.clear_cache()
+        monkeypatch.setattr(fock, "ENTRY_CAP", 27 * 81 - 1)
+        with pytest.raises(SizeLimit, match="annihilation slice of 27 x 81"):
+            annihilation_matrix(phase3, 1, 4)
+
     def test_cap_is_inclusive_and_checked_before_the_build(self, fresh_cache, monkeypatch):
         # sector 6 of N = 2: a 64 x 64 span and complement
         fermion = make_preset("fermion", 2)
@@ -388,12 +399,14 @@ class TestPlacedAnnihilation:
 
     def test_needed_species_only(self, twisted2):
         rng = np.random.default_rng(41)
+        # the last entry, every species, is what the annihilation slices read
         for system in graded_systems(3)[:-1]:  # the flip-scaled presets
-            assert [wanted for wanted, _ in fock._walk_species(system)] == [(0,), (1,), (2,)]
+            assert ([wanted for wanted, _ in fock._walk_species(system)]
+                    == [(0,), (1,), (2,), (0, 1, 2)])
         # twisted CCR: T^{ii}_{kk} != 0 for k < i, so A_2 needs A_1
-        assert [wanted for wanted, _ in fock._walk_species(twisted2)] == [(0,), (0, 1)]
+        assert [wanted for wanted, _ in fock._walk_species(twisted2)] == [(0,), (0, 1), (0, 1)]
         rotated = haar_rotated(twisted2, rng)
-        assert [wanted for wanted, _ in fock._walk_species(rotated)] == [(0, 1), (0, 1)]
+        assert [wanted for wanted, _ in fock._walk_species(rotated)] == [(0, 1)] * 3
 
     def test_builds_no_level_above_the_floor(self, fresh_cache, boson2):
         walk = fock._Walk(boson2, 2)

@@ -193,6 +193,18 @@ class TestThreeSlotResiduals:
             ):
                 assert abs(got - ref) <= 1e-12 * max(1.0, ref)
 
+    @pytest.mark.parametrize("chunk", [2**20, 5], ids=["one-chunk", "many-chunks"])
+    def test_overflow_fails(self, monkeypatch, chunk):
+        # products of three entries near 1e110 overflow, and inf - inf is NaN
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk * 8)
+        rng = np.random.default_rng(47)
+        t, b = (1e110 * rng.standard_normal((4, 4)) for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            braid, yang_baxter = check_braid(BraidOperator(b)), check_yang_baxter(t)
+            ok, (r1, _) = check_consistency(CrossOperator(t), BraidOperator(b))
+        for ok_law, res in (braid, yang_baxter, (ok, r1)):
+            assert not ok_law and np.isnan(res)
+
 
 class TestValidateSystem:
     def test_boltzmann(self):

@@ -162,6 +162,12 @@ class TestNormalOrder:
             nf = normal_order(OperatorExpression({word: 1.0}), system)
             assert nf.is_normal_ordered()
 
+    def test_overflowing_coefficient_raises(self):
+        # with q = 1e200 the rewrite coefficients of 1e200 a(1)^2 c(1)^2 overflow
+        huge = make_preset("quon", 1, q=1e200)
+        with pytest.raises(ValueError, match=r"of c\(1\) a\(1\) in the normal form is not finite"):
+            normal_order(parse_expression("1e200 a(1) a(1) c(1) c(1)", 1), huge)
+
     def test_normal_form_type_validates(self):
         with pytest.raises(ValueError):
             NormalForm({(a(1), c(1)): 1.0})
@@ -445,7 +451,8 @@ class TestReferences:
         real = fock._Walk.slices
 
         def counted(walk, m):
-            reads.append(m)
+            if walk.floor == n:  # the slice builds walk with floors below n
+                reads.append(m)
             return real(walk, m)
 
         monkeypatch.setattr(fock._Walk, "slices", counted)
