@@ -298,7 +298,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.eps = _env_eps() if args.eps is None else resolve_eps(args.eps)
-        return args.func(args)
+        # An overflow shows as inf or NaN, which every verdict checks for, so
+        # numpy's warnings about it would only repeat the verdict on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

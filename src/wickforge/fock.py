@@ -83,17 +83,25 @@ def _sector_dim(n_species: int, n: int) -> int:
 def _check_entries(rows: int, cols: int, what: str, held: int = 0) -> None:
     """The size rule for one dense matrix built from sectors, raising SizeLimit above the cap.
 
-    Checked before allocating the matrices whose size a sector does not bound
-    by itself: annihilation slices, Gram blocks, the per-block generator
-    stack and the scattered ideal bases, the dense Gram matrix and quotient
-    projector, and the dense matrices and placed annihilation stacks of
-    :func:`~wickforge.wick.evaluation_blocks`.  A set of matrices that stands
-    for one dense matrix (the pieces of an evaluation block) is bounded as a
-    whole: ``held`` counts the entries of the set allocated before this one.
+    Checked before allocating every matrix whose size a sector does not bound
+    by itself, here and in :func:`~wickforge.wick.evaluation_blocks`.  A set
+    of matrices that stands for one dense matrix (the pieces of an evaluation
+    block) is bounded as a whole: ``held`` counts the entries of the set
+    allocated before this one.
     """
     if held + rows * cols > ENTRY_CAP:
         raise SizeLimit(f"{what} of {rows} x {cols} entries exceeds cap {ENTRY_CAP}"
                         + (f" with the {held} entries held beside it" if held else ""))
+
+
+def _scatter(shape: tuple[int, int], what: str, parts) -> np.ndarray:
+    """Read-only zeros with each ``(rows, cols, part)`` placed, capped before ``parts`` is read."""
+    _check_entries(*shape, what)
+    mat = np.zeros(shape, dtype=complex)
+    for rows, cols, part in parts:
+        mat[rows[:, None], cols] = part
+    mat.setflags(write=False)
+    return mat
 
 
 def _check_species(system: StatisticsSystem, i: int) -> None:
@@ -157,12 +165,8 @@ class GramMatrix:
     def mat(self) -> np.ndarray:
         if len(self.blocks) == 1:
             return self.blocks[0]
-        _check_entries(self.dim, self.dim, "dense Gram matrix")
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for offsets, block in zip(self.words, self.blocks):
-            mat[offsets[:, None], offsets] = block
-        mat.setflags(write=False)
-        return mat
+        return _scatter((self.dim, self.dim), "dense Gram matrix",
+                        zip(self.words, self.words, self.blocks))
 
     @property
     def dim(self) -> int:
@@ -209,30 +213,30 @@ def creation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
 
 
 def _annihilation_slices(
-    system: StatisticsSystem, m: int, by_content: bool
+    system: StatisticsSystem, m: int
 ) -> tuple[tuple[np.ndarray | None, ...], ...]:
-    """Per word block c of sector m >= 1 (:func:`_partition`): ``A_i[c - e_i, c]`` at index i0.
+    """Per word block c of sector m >= 1 (:func:`word_blocks`): ``A_i[c - e_i, c]`` at index i0.
 
     Letters that c lacks get None.  The rows of a slice are the block c - e_i
     of sector m-1 that the head of letter i names, its columns the words of
     c.  Block c's slices are one step of :func:`_annihilate_placed` on its
     identity over the slices of degree m-1: the identity on column run i, plus
     ``T^{ij}_{kl}`` times slice l of block c - e_j in row run k and column
-    run j, for every nonzero of T in the order of ``np.nonzero(T)``, so the
-    slices of the whole-sector partition are the dense levels, entry for
-    entry.  The content partition needs T graded: then row run k of block
-    c - e_i holds exactly the rows of slice l of block c - e_j.
+    run j, for every nonzero of T in the order of ``np.nonzero(T)``.  The
+    blocks are the system's own: by letter content when T is graded (then
+    row run k of block c - e_i holds exactly the rows of slice l of block c -
+    e_j), and otherwise the whole sector, whose slices are the dense levels.
     """
-    key = ("annihilation", system.content_key, m, by_content)
+    key = ("annihilation", system.content_key, m)
     cached = _cache_get(key)
     if cached is not None:
         return cached
     n_sp = system.dim
-    _, heads, sizes, _ = _partition(n_sp, m, by_content)
+    _, heads, sizes, _ = _partition(n_sp, m, _content_graded(system))
     for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
         for _, lo, hi in runs.values():
             _check_entries(hi - lo, size, "annihilation slice")
-    walk = _Walk(system, m - 1, by_content)
+    walk = _Walk(system, m - 1)
     out = []
     for b, (runs, size) in enumerate(zip(heads, sizes)):
         slices = [None] * n_sp
@@ -247,12 +251,23 @@ def _annihilation_slices(
 
 
 def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
-    """Matrix of the annihilation recursion from sector n to sector n-1."""
+    """Matrix of the annihilation recursion from sector n to sector n-1.
+
+    A sector of one block is its slice.  A graded system's content slices are
+    scattered on each call, not cached, once the level passes the entry cap.
+    """
     _check_species(system, i)
     if n < 1:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
-    _sector_dim(system.dim, n)
-    return _annihilation_slices(system, n, False)[0][i - 1]
+    n_sp, i0 = system.dim, i - 1
+    _sector_dim(n_sp, n)
+    if not _content_graded(system):
+        return _annihilation_slices(system, n)[0][i0]
+    blocks, heads, _, _ = _content_partition(n_sp, n)
+    below = content_blocks(n_sp, n - 1)
+    return _scatter((n_sp ** (n - 1), n_sp**n), "annihilation level",
+                    ((below[runs[i0][0]], blocks[b], _annihilation_slices(system, n)[b][i0])
+                     for b, runs in enumerate(heads) if i0 in runs))
 
 
 def _walk_species(system: StatisticsSystem) -> tuple:
@@ -289,17 +304,16 @@ def _walk_species(system: StatisticsSystem) -> tuple:
 class _Walk:
     """The lookups of one recursion on the word blocks of sector ``floor``, read without locks.
 
-    The blocks are those of :func:`_partition`, by letter content when
-    ``by_content`` (by default :func:`_content_graded`) holds and one block
-    per sector otherwise.  :meth:`level` reads the heads, sizes and growth of
-    a sector and :meth:`slices` the annihilation slices of a degree ``<=
+    The blocks are the system's own (:func:`word_blocks`), by letter content
+    when ``by_content``.  :meth:`level` reads the heads, sizes and growth of a
+    sector and :meth:`slices` the annihilation slices of a degree ``<=
     floor``; each takes the cache lock once per degree and call.
     ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`).
     """
 
-    def __init__(self, system: StatisticsSystem, floor: int, by_content: bool | None = None):
+    def __init__(self, system: StatisticsSystem, floor: int):
         self.system, self.n_species, self.floor = system, system.dim, floor
-        self.by_content = _content_graded(system) if by_content is None else by_content
+        self.by_content = _content_graded(system)
         self.species = _walk_species(system)
         self._levels = {}
         self._slices = {}
@@ -322,7 +336,7 @@ class _Walk:
         """The annihilation slices of sector ``1 <= m <= floor`` on the walk's blocks."""
         found = self._slices.get(m)
         if found is None:
-            found = self._slices[m] = _annihilation_slices(self.system, m, self.by_content)
+            found = self._slices[m] = _annihilation_slices(self.system, m)
         return found
 
 
@@ -391,48 +405,39 @@ def _annihilate_placed(
     return out
 
 
-def _gram_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
-    """Diagonal blocks of the sector-n Gram matrix on :func:`word_blocks`.
-
-    The (i, j) species block of G_n is ``G_{n-1} A_i C_j``, so G_n stacks
-    ``G_{n-1} A_i`` row-blockwise.  Within block c, the words beginning with
-    letter i have their tails in one block c - e_i of sector n-1, and
-    ``A_i`` maps block c into it, so block c is the stack over i of
-    ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]``, rows in ascending word offset.
-    Only those slices are built (:func:`_annihilation_slices`); when the
-    sector is one block, they are the dense levels.
-    """
-    key = ("gramblocks", system.content_key, n)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        blocks = (np.ones((1, 1), dtype=complex),)
-    else:
-        by_content = _content_graded(system)
-        _, heads, sizes, _ = _partition(system.dim, n, by_content)
-        for size in sizes:  # refused before the recursion builds anything
-            _check_entries(size, size, "Gram block")
-        prev = _gram_blocks(system, n - 1)
-        blocks = [np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
-                  for runs, slices in zip(heads, _annihilation_slices(system, n, by_content))]
-    for block in blocks:
-        block.setflags(write=False)
-    return _cache_put(key, tuple(blocks))
-
-
-def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
-    """Sector Gram matrix of the scalar product making creators adjoint.
-
-    G_0 = [[1]]; the blocks are assembled by :func:`_gram_blocks`.
-    """
-    _sector_dim(system.dim, n)
+def _gram(system: StatisticsSystem, n: int) -> GramMatrix:
+    """The cached Gram matrix of sector n, its blocks built from those of sector n-1."""
     key = ("gram", system.content_key, n)
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    gram = GramMatrix(n=n, words=word_blocks(system, n), blocks=_gram_blocks(system, n))
-    return _cache_put(key, gram)
+    words, heads, sizes, _ = _partition(system.dim, n, _content_graded(system))
+    if n == 0:
+        blocks = (np.ones((1, 1), dtype=complex),)
+    else:
+        for size in sizes:  # refused before the recursion builds anything
+            _check_entries(size, size, "Gram block")
+        prev = _gram(system, n - 1).blocks
+        blocks = tuple(np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
+                       for runs, slices in zip(heads, _annihilation_slices(system, n)))
+    for block in blocks:
+        block.setflags(write=False)
+    return _cache_put(key, GramMatrix(n=n, words=words, blocks=blocks))
+
+
+def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
+    """Sector Gram matrix of the scalar product making creators adjoint, on :func:`word_blocks`.
+
+    G_0 = [[1]].  The (i, j) species block of G_n is ``G_{n-1} A_i C_j``, so
+    G_n stacks ``G_{n-1} A_i`` row-blockwise.  Within block c, the words
+    beginning with letter i have their tails in one block c - e_i of sector
+    n-1, and ``A_i`` maps block c into it, so block c is the stack over i of
+    ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]``, rows in ascending word offset.
+    Only those slices are built (:func:`_annihilation_slices`); when the
+    sector is one block, they are the dense levels.
+    """
+    _sector_dim(system.dim, n)
+    return _gram(system, n)
 
 
 def quotient_gram(system: StatisticsSystem, n: int,
@@ -604,7 +609,7 @@ def sector_spectrum(
     a quotient Gram is one block) is checked for Hermiticity at the tolerance
     of the whole matrix, ``eps * max(1, max|G|)`` (raising
     :class:`NotHermitian`), and diagonalized on its own; off-block entries
-    are zero by construction.
+    are zero by construction.  An entry that is not finite raises ValueError.
     """
     eps = resolve_eps(eps)
     _sector_dim(system.dim, n)
@@ -616,7 +621,9 @@ def sector_spectrum(
         gram = quotient_gram(system, n, eps=eps)
     else:
         gram = gram_matrix(_weight_form(system)[1], n)
-    scale = max(max_abs(block) for block in gram.blocks)
+    scale = float(np.max([max_abs(block) for block in gram.blocks]))  # NaN if any block has one
+    if not np.isfinite(scale):
+        raise ValueError(f"{'quotient ' * quotient}Gram matrix of sector {n} is not finite")
     spectrum = np.sort(np.concatenate(
         [hermitian_spectrum(block, eps, scale=scale) for block in gram.blocks]))
     spectrum.setflags(write=False)
@@ -783,7 +790,7 @@ def descended_operators(
     q_up_c = dagger(q_up[creation_rows(system, i, n)])
     if span_n.shape[1]:
         res_c = max_abs(q_up_c @ span_n)
-        if res_c > eps:
+        if not res_c <= eps:  # a NaN residual fails too
             raise NotWellDefined(
                 f"creation does not preserve the ideal at degree {n} "
                 f"(residual {res_c:.3e})"
@@ -795,7 +802,7 @@ def descended_operators(
         amat = annihilation_matrix(system, i, n)
         if span_n.shape[1]:
             res_a = max_abs(dagger(q_down) @ (amat @ span_n))
-            if res_a > eps:
+            if not res_a <= eps:
                 raise NotWellDefined(
                     f"annihilation does not preserve the ideal at degree {n} "
                     f"(residual {res_a:.3e}); (T, B) violate the consistency laws"

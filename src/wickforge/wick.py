@@ -34,6 +34,7 @@ from .fock import (
     _annihilate_placed,
     _check_entries,
     _partition,
+    _scatter,
     _sector_dim,
     _Walk,
     annihilation_matrix,
@@ -537,13 +538,9 @@ class EvaluationBlock:
     def mat(self) -> np.ndarray:
         if not self.by_content and self.pieces:
             return self.pieces[(0, 0)]
-        _check_entries(*self.shape, "evaluation block")
-        mat = np.zeros(self.shape, dtype=complex)
         rows, cols = self.rows, self.cols
-        for (b, c), piece in self.pieces.items():
-            mat[rows[b][:, None], cols[c]] = piece
-        mat.setflags(write=False)
-        return mat
+        return _scatter(self.shape, "evaluation block",
+                        ((rows[b], cols[c], piece) for (b, c), piece in self.pieces.items()))
 
 
 def evaluation_blocks(

@@ -25,6 +25,17 @@ def corrupted_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def huge_boson_file(tmp_path):
+    """The boson N = 2 T scaled by 1e200 with the boson B: its levels overflow from sector 3."""
+    boson = make_preset("boson", 2)
+    system = StatisticsSystem(cross=CrossOperator(1e200 * boson.cross.mat),
+                              braid=boson.braid, label="huge")
+    path = tmp_path / "huge.json"
+    path.write_text(dump_system(system))
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -186,11 +197,32 @@ class TestExitCodes:
         t = 1e110 * (t + np.conj(t.transpose(1, 0, 3, 2))) / 2  # t[k, l, i, j] = T^{ij}_{kl}
         path = tmp_path / "huge.json"
         path.write_text(dump_system(StatisticsSystem(cross=CrossOperator(t.reshape(4, 4)))))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run(capsys, ["validate", "--file", str(path)])
+        code, out, err = run(capsys, ["validate", "--file", str(path)])
         assert code == 1
         assert "yang_baxter          fail     nan" in out
         assert out.splitlines()[-1] == "result: FAIL"
+        assert err == ""  # no numpy warnings about the overflow
+
+    def test_overflowed_quotient_residual_fails(self, capsys, huge_boson_file):
+        code, out, err = run(capsys, ["quotient", "--file", huge_boson_file,
+                                      "--max-sector", "4"])
+        assert code == 1
+        rows = out.splitlines()
+        for n in (3, 4):
+            assert rows[n + 1].startswith(f"sector {n}: dim {2**n}  quotient_dim {n + 1}"
+                                          "  well_defined False")
+            assert f"degree {n} (residual nan)" in rows[n + 1]
+        assert rows[-1] == "result: FAIL"
+        assert err == ""
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    def test_overflowed_gram_names_its_sector(self, capsys, huge_boson_file, quotient):
+        argv = ["gram", "--file", huge_boson_file, "--sector", "3"]
+        code, out, err = run(capsys, argv + ["--quotient"] * quotient)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: " + "quotient " * quotient
+                       + "Gram matrix of sector 3 is not finite\n")
 
     def test_overflowing_normal_form_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["normal-order", "1e200 a(1) a(1) c(1) c(1)",

@@ -37,7 +37,9 @@ from wickforge.operators import (
     preserves_content,
 )
 
-from conftest import acceptance_systems, haar_rotated, haar_unitary, multi_q, twisted_ccr
+from conftest import (
+    acceptance_systems, haar_rotated, haar_unitary, multi_q, phase_phi, twisted_ccr,
+)
 from oracles import annihilate_word, perm_gram, perm_gram_entry, q_factorial
 
 EPS = 1e-9
@@ -160,7 +162,7 @@ class TestEntryCap:
             wick.evaluation_blocks(expr, rotated, 10)
         with pytest.raises(SizeLimit, match="ideal generator stack"):
             quotient_sector(boson2, 16)
-        with pytest.raises(SizeLimit, match="annihilation slice of 32768 x 65536"):
+        with pytest.raises(SizeLimit, match="annihilation level of 32768 x 65536"):
             annihilation_matrix(boson2, 1, 16)
         with pytest.raises(SizeLimit, match="Gram block"):
             sector_spectrum(boson2, 16)
@@ -177,13 +179,23 @@ class TestEntryCap:
     def test_slices_are_bounded_one_by_one(self, fresh_cache, monkeypatch):
         # the one-block level 3 -> 4 of N = 3 is three slices of 27 x 81; the
         # placed recursion that fills them would bound them as one 81 x 81 stack
-        phase3 = make_preset("phase", 3, phi=0.7)
+        phase3 = haar_rotated(make_preset("phase", 3, phi=0.7), np.random.default_rng(53))
         monkeypatch.setattr(fock, "ENTRY_CAP", 3000)
         assert annihilation_matrix(phase3, 1, 4).shape == (27, 81)
         fock.clear_cache()
         monkeypatch.setattr(fock, "ENTRY_CAP", 27 * 81 - 1)
         with pytest.raises(SizeLimit, match="annihilation slice of 27 x 81"):
             annihilation_matrix(phase3, 1, 4)
+
+    def test_refused_graded_level_builds_no_slice(self, fresh_cache, monkeypatch):
+        # the content slices of level 3 -> 4 are each under the cap, the level is not
+        phase3 = make_preset("phase", 3, phi=0.7)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 27 * 81 - 1)
+        with pytest.raises(SizeLimit, match="annihilation level of 27 x 81"):
+            annihilation_matrix(phase3, 1, 4)
+        assert not any(key[0] == "annihilation" for key in fock._CACHE)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 27 * 81)
+        assert annihilation_matrix(phase3, 1, 4).shape == (27, 81)
 
     def test_cap_is_inclusive_and_checked_before_the_build(self, fresh_cache, monkeypatch):
         # sector 6 of N = 2: a 64 x 64 span and complement
@@ -707,6 +719,21 @@ class TestGramMemory:
                 assert not cached_level_degrees(n_species), system.label
                 assert np.array_equal(got, level_route_spectrum(system, degree)), system.label
 
+    def test_session_caches_one_slice_set_per_degree(self, fresh_cache):
+        # gram, quotient, a dense level and an evaluation all read the content slices
+        system = make_preset("phase", 3, phi=phase_phi(3, np.pi / 3))
+        sector_spectrum(system, 4)
+        for n in range(4):
+            quotient_sector(system, n)
+            for i in (1, 2, 3):
+                descended_operators(system, i, n)
+        annihilation_matrix(system, 2, 3)
+        wick.evaluation_blocks(wick.parse_expression("a(1) a(2) c(2) c(3)", 3), system, 2)
+        keys = [key for key in fock._CACHE if key[0] == "annihilation"]
+        assert sorted(key[1:] for key in keys) == [(system.content_key, m) for m in range(1, 5)]
+        for key in keys:
+            assert len(fock._CACHE[key]) == len(content_blocks(3, key[2]))
+
 
 def rotated_twins(n_species: int, rng: np.random.Generator):
     """(graded system, Haar-rotated copy) for the graded battery, multi-q included."""
@@ -992,6 +1019,14 @@ class TestDescendedOperators:
         )
         with pytest.raises(NotWellDefined):
             descended_operators(system, 1, 2)
+
+    def test_overflowing_residual_is_not_well_defined(self, fresh_cache, boson2):
+        # the level of a huge T overflows, so the annihilation residual is NaN
+        system = StatisticsSystem(cross=CrossOperator(1e200 * boson2.cross.mat),
+                                  braid=boson2.braid, label="huge")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotWellDefined, match=r"degree 3 \(residual nan\)"):
+            descended_operators(system, 1, 3)
 
 
 class TestRepresentationContract:

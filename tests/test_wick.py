@@ -563,8 +563,9 @@ class TestEvaluationPieces:
             for n in range(4):
                 evaluation_blocks(expr, system, n)
                 evaluation_blocks(normal_order(expr, system), system, n)
-            assert not any(key[0] == "annihilation" and not key[3] for key in fock._CACHE)
-            assert any(key[0] == "annihilation" and key[3] for key in fock._CACHE)
+            sets = {key[2]: value for key, value in fock._CACHE.items() if key[0] == "annihilation"}
+            assert sets and all(len(value) == len(fock.content_blocks(system.dim, m))
+                                for m, value in sets.items())
 
     def test_one_block_is_the_dense_matrix(self):
         system = haar_rotated(twisted_ccr(2, 0.6), np.random.default_rng(47))
