@@ -152,9 +152,9 @@ class GramMatrix:
     """A sector Gram matrix, held as its diagonal blocks on the sector's word blocks.
 
     ``blocks[b]`` is the Gram matrix on the words ``words[b]`` (ascending
-    offsets, or a slice; see :func:`word_blocks`); entries between different
-    blocks are zero.  ``mat`` is the dense matrix, the blocks scattered into
-    zeros, built on first use.
+    offsets; see :func:`word_blocks`); entries between different blocks are
+    zero.  ``mat`` is the dense matrix, the blocks scattered into zeros (or
+    the one block itself), built on first use.
     """
 
     n: int
@@ -223,16 +223,17 @@ def _annihilation_slices(
     identity over the slices of degree m-1: the identity on column run i, plus
     ``T^{ij}_{kl}`` times slice l of block c - e_j in row run k and column
     run j, for every nonzero of T in the order of ``np.nonzero(T)``.  The
-    blocks are the system's own: by letter content when T is graded (then
-    row run k of block c - e_i holds exactly the rows of slice l of block c -
-    e_j), and otherwise the whole sector, whose slices are the dense levels.
+    blocks are the system's own (:func:`_labels`): by letter content when T
+    is graded (then row run k of block c - e_i holds exactly the rows of
+    slice l of block c - e_j), and otherwise the whole sector, whose slices
+    are the dense levels.
     """
     key = ("annihilation", system.content_key, m)
     cached = _cache_get(key)
     if cached is not None:
         return cached
     n_sp = system.dim
-    _, heads, sizes, _ = _partition(n_sp, m, _content_graded(system))
+    _, heads, sizes, _ = _content_heads(_labels(system), m)
     for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
         for _, lo, hi in runs.values():
             _check_entries(hi - lo, size, "annihilation slice")
@@ -253,21 +254,34 @@ def _annihilation_slices(
 def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     """Matrix of the annihilation recursion from sector n to sector n-1.
 
-    A sector of one block is its slice.  A graded system's content slices are
-    scattered on each call, not cached, once the level passes the entry cap.
+    A sector of one block returns its cached slice.  The level of a sector
+    of several blocks is checked against the entry cap, then scattered from
+    the slices (:func:`_letter_parts`) on each call, not cached.
     """
     _check_species(system, i)
     if n < 1:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
-    n_sp, i0 = system.dim, i - 1
+    n_sp = system.dim
     _sector_dim(n_sp, n)
-    if not _content_graded(system):
-        return _annihilation_slices(system, n)[0][i0]
-    blocks, heads, _, _ = _content_partition(n_sp, n)
-    below = content_blocks(n_sp, n - 1)
+    if len(_content_heads(_labels(system), n)[2]) == 1:
+        return _annihilation_slices(system, n)[0][i - 1]
     return _scatter((n_sp ** (n - 1), n_sp**n), "annihilation level",
-                    ((below[runs[i0][0]], blocks[b], _annihilation_slices(system, n)[b][i0])
-                     for b, runs in enumerate(heads) if i0 in runs))
+                    _letter_parts(system, i - 1, n))
+
+
+def _letter_parts(system: StatisticsSystem, i0: int, n: int):
+    """``(rows, cols, A_i[c - e_i, c])`` for each word block c of sector n >= 1 holding letter i0 + 1.
+
+    ``cols`` are the word offsets of c and ``rows`` those of c - e_i in
+    sector n-1 (:func:`word_blocks`); the slices are built on the first step.
+    """
+    labels = _labels(system)
+    heads = _content_heads(labels, n)[1]
+    below, words = _content_partition(labels, n - 1), _content_partition(labels, n)
+    slices = _annihilation_slices(system, n)
+    for b, runs in enumerate(heads):
+        if i0 in runs:
+            yield below[runs[i0][0]], words[b], slices[b][i0]
 
 
 def _walk_species(system: StatisticsSystem) -> tuple:
@@ -304,8 +318,8 @@ def _walk_species(system: StatisticsSystem) -> tuple:
 class _Walk:
     """The lookups of one recursion on the word blocks of sector ``floor``, read without locks.
 
-    The blocks are the system's own (:func:`word_blocks`), by letter content
-    when ``by_content``.  :meth:`level` reads the heads, sizes and growth of a
+    The blocks are the system's own, grouped by the letter ``labels``
+    (:func:`_labels`).  :meth:`level` reads the heads, sizes and growth of a
     sector and :meth:`slices` the annihilation slices of a degree ``<=
     floor``; each takes the cache lock once per degree and call.
     ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`).
@@ -313,23 +327,21 @@ class _Walk:
 
     def __init__(self, system: StatisticsSystem, floor: int):
         self.system, self.n_species, self.floor = system, system.dim, floor
-        self.by_content = _content_graded(system)
+        self.labels = _labels(system)
         self.species = _walk_species(system)
         self._levels = {}
         self._slices = {}
 
     def level(self, d: int) -> tuple:
-        """``(heads, sizes, grow)`` of sector d (:func:`_partition`), checked against the sector cap.
+        """``(heads, sizes, grow)`` of sector d (:func:`_content_heads`), checked against the sector cap.
 
-        Content blocks are read from :func:`_content_heads`, so no word
-        offsets are formed for the degrees above ``floor`` that the walk
-        passes through.
+        No word offsets are formed, so none for the degrees above ``floor``
+        that the walk passes through.
         """
         found = self._levels.get(d)
         if found is None:
             _sector_dim(self.n_species, d)
-            found = self._levels[d] = (_content_heads(self.n_species, d) if self.by_content
-                                       else _partition(self.n_species, d, False))[1:]
+            found = self._levels[d] = _content_heads(self.labels, d)[1:]
         return found
 
     def slices(self, m: int) -> tuple:
@@ -411,7 +423,8 @@ def _gram(system: StatisticsSystem, n: int) -> GramMatrix:
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    words, heads, sizes, _ = _partition(system.dim, n, _content_graded(system))
+    labels = _labels(system)
+    _, heads, sizes, _ = _content_heads(labels, n)
     if n == 0:
         blocks = (np.ones((1, 1), dtype=complex),)
     else:
@@ -422,7 +435,7 @@ def _gram(system: StatisticsSystem, n: int) -> GramMatrix:
                        for runs, slices in zip(heads, _annihilation_slices(system, n)))
     for block in blocks:
         block.setflags(write=False)
-    return _cache_put(key, GramMatrix(n=n, words=words, blocks=blocks))
+    return _cache_put(key, GramMatrix(n=n, words=_content_partition(labels, n), blocks=blocks))
 
 
 def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
@@ -445,33 +458,55 @@ def quotient_gram(system: StatisticsSystem, n: int,
     """Gram matrix compressed to the quotient representatives of sector n."""
     q = quotient_sector(system, n, eps=eps).quotient.complement_basis
     mat = dagger(q) @ gram_matrix(system, n).mat @ q
-    return GramMatrix(n=n, words=(slice(0, q.shape[1]),), blocks=(mat,))
+    return GramMatrix(n=n, words=(np.arange(q.shape[1]),), blocks=(mat,))
 
 
-def _content_heads(n_species: int, n: int) -> tuple:
-    """Letter-content blocks of sector n without their words: (counts, heads, sizes, grow).
+def _labels(system: StatisticsSystem) -> tuple[int, ...]:
+    """The block label of each letter: its own when T is graded and B, if any, preserves content.
 
-    ``counts[b]`` is the letter-count tuple of block b and ``sizes[b]`` its
-    number of words.  Blocks are numbered in ascending order of their
-    sorted-letter tuples, which is descending order of the count tuples.
-    Sector n grows from sector n-1: the word ``x^j (x) w`` has the counts of
-    w plus one letter j, and the words of block p with letter j0 + 1
-    prepended form one run of the block of those counts.  ``heads`` and
-    ``grow`` are those of :func:`_partition`.
+    Otherwise every letter has label 0, and each sector is one block.
     """
-    key = ("heads", n_species, n)
+    key = ("labels", system.content_key)
+    cached = _cache_get(key)
+    if cached is None:
+        braid = system.braid
+        graded = is_graded(system.cross) and (braid is None or preserves_content(braid))
+        cached = _cache_put(key, tuple(range(system.dim)) if graded else (0,) * system.dim)
+    return cached
+
+
+def _content_heads(labels: tuple[int, ...], n: int) -> tuple:
+    """The word blocks of sector n without their words: (counts, heads, sizes, grow).
+
+    ``labels[j0]`` is the label of letter j0 + 1 (:func:`_labels`).  A block
+    holds the words with one count of each label, ``counts[b]``, and
+    ``sizes[b]`` is its number of words.  Blocks are numbered in descending
+    order of their count tuples (for distinct labels, ascending order of
+    their sorted-letter tuples).  Sector n grows from sector n-1: the word
+    ``x^j (x) w`` has the counts of w plus one of the label of j, and the
+    words of block p with letter j0 + 1 prepended form one run of the block
+    of those counts.  The head ``{j0: (p, lo, hi)}`` of a block says that
+    its words beginning with letter j0 + 1 sit at positions ``lo:hi`` of the
+    block (ascending offsets put them in one run), and that their tails are
+    the words of block p of sector n-1, in the same order.  ``grow[j0][p] =
+    (b, lo)`` inverts the heads: letter j0 + 1 prepended to block p of
+    sector n-1 gives the run of block b that starts at ``lo`` (None at n =
+    0).  With every label 0 the sector is one block of ``N^n`` words, with
+    the head ``{j0: (0, j0 N^(n-1), (j0 + 1) N^(n-1))}``.
+    """
+    key = ("heads", labels, n)
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    _sector_dim(n_species, n)
+    _sector_dim(len(labels), n)
     if n == 0:
-        return _cache_put(key, (((0,) * n_species,), ({},), (1,), None))
-    prev_counts, _, prev_sizes, _ = _content_heads(n_species, n - 1)
-    grown = [[c[:j0] + (c[j0] + 1,) + c[j0 + 1:] for c in prev_counts] for j0 in range(n_species)]
+        return _cache_put(key, (((0,) * (max(labels) + 1),), ({},), (1,), None))
+    prev_counts, _, prev_sizes, _ = _content_heads(labels, n - 1)
+    grown = [[c[:k] + (c[k] + 1,) + c[k + 1:] for c in prev_counts] for k in labels]
     counts = sorted({c for row in grown for c in row}, reverse=True)
     index = {c: b for b, c in enumerate(counts)}
     heads = tuple({} for _ in counts)
-    grow = tuple([None] * len(prev_counts) for _ in range(n_species))
+    grow = tuple([None] * len(prev_counts) for _ in labels)
     fill = [0] * len(counts)
     for j0, row in enumerate(grown):
         for p, c in enumerate(row):
@@ -482,28 +517,28 @@ def _content_heads(n_species: int, n: int) -> tuple:
     return _cache_put(key, (tuple(counts), heads, tuple(fill), grow))
 
 
-def _content_partition(n_species: int, n: int) -> tuple:
-    """Letter-content blocks of sector n with their heads, sizes and grow (:func:`_content_heads`).
+def _content_partition(labels: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
+    """Word offsets of the blocks of sector n (:func:`_content_heads`), ascending in each block.
 
     Run j0 of block b holds the words of its block p of sector n-1 with
     letter j0 + 1 prepended, that is the offsets of block p plus ``j0 *
     N^(n-1)``, so the runs in order give the ascending offsets of block b.
     """
-    key = ("blocks", n_species, n)
+    key = ("blocks", labels, n)
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    _, heads, sizes, grow = _content_heads(n_species, n)
+    heads = _content_heads(labels, n)[1]
     if n == 0:
         blocks = (np.zeros(1, dtype=np.intp),)
     else:
-        prev = _content_partition(n_species, n - 1)[0]
-        size = n_species ** (n - 1)
+        prev = _content_partition(labels, n - 1)
+        size = len(labels) ** (n - 1)
         blocks = tuple(np.concatenate([j0 * size + prev[p] for j0, (p, _, _) in runs.items()])
                        for runs in heads)
     for arr in blocks:
         arr.setflags(write=False)
-    return _cache_put(key, (blocks, heads, sizes, grow))
+    return _cache_put(key, blocks)
 
 
 def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
@@ -512,33 +547,22 @@ def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
     Groups are ordered by their content, ascending as sorted-letter tuples;
     together they partition ``range(n_species**n)``.
     """
-    return _content_partition(n_species, n)[0]
-
-
-def _content_graded(system: StatisticsSystem) -> bool:
-    """Whether T is graded (:func:`is_graded`) and B, if any, preserves content."""
-    key = ("graded", system.content_key)
-    cached = _cache_get(key)
-    if cached is None:
-        braid = system.braid
-        cached = _cache_put(key, is_graded(system.cross)
-                            and (braid is None or preserves_content(braid)))
-    return cached
+    return _content_partition(tuple(range(n_species)), n)
 
 
 def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem]:
     """The weight basis W of the system and the system in it, graded if possible.
 
-    A system graded as given (:func:`_content_graded`) is its own weight
-    form, with ``W = 1``.  Otherwise T and B are moved to the basis of
-    :func:`~wickforge.operators.weight_basis` and cut to the graded patterns
-    (:func:`~wickforge.operators.graded_part`); the cut form is accepted only
-    when the entries it drops are rounding, at most ``ROUNDING * max(1,
-    max|T|, max|B|)``.  A system without such a torus keeps ``W = 1`` and
-    itself, one block per sector.  Every basis-invariant verdict (Gram
-    spectra, ideal and quotient dimensions) can be taken on the weight form.
+    A system graded as given, each letter with its own label (:func:`_labels`),
+    is its own weight form, with ``W = 1``.  Otherwise T and B are moved to
+    the basis of :func:`~wickforge.operators.weight_basis` and cut to the
+    graded patterns (:func:`~wickforge.operators.graded_part`); the cut form
+    is accepted only when the entries it drops are rounding, at most
+    ``ROUNDING * max(1, max|T|, max|B|)``.  A system without such a torus
+    keeps ``W = 1`` and itself, one block per sector.  Every basis-invariant
+    verdict (Gram spectra, ideal and quotient dimensions) can be taken on it.
     """
-    if _content_graded(system):
+    if len(set(_labels(system))) == system.dim:
         return eye(system.dim), system
     key = ("weight", system.content_key)
     cached = _cache_get(key)
@@ -562,38 +586,16 @@ def _apply_tensor_power(w: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
-def _partition(n_species: int, n: int, by_content: bool) -> tuple[tuple, tuple, tuple, tuple]:
-    """Word blocks of sector n with their heads, sizes and growth: (blocks, heads, sizes, grow).
-
-    With ``by_content`` the blocks are the :func:`content_blocks`; otherwise
-    the sector is one block, a plain slice.  The head ``{j0: (p, lo, hi)}``
-    of a block says that its words beginning with letter j0 + 1 sit at
-    positions ``lo:hi`` of the block (ascending offsets put them in one run),
-    and that their tails are the words of block p of sector n-1, in the same
-    order.  ``sizes[b]`` is the number of words of block b, and ``grow[j0][p]
-    = (b, lo)`` inverts the heads: letter j0 + 1 prepended to block p of
-    sector n-1 gives the run of block b that starts at ``lo`` (None at n = 0).
-    """
-    if by_content:
-        return _content_partition(n_species, n)
-    dim = _sector_dim(n_species, n)
-    if not n:
-        return (slice(0, 1),), ({},), (1,), None
-    size = dim // n_species
-    heads = {j0: (0, j0 * size, (j0 + 1) * size) for j0 in range(n_species)}
-    grow = tuple([(0, j0 * size)] for j0 in range(n_species))
-    return (slice(0, dim),), (heads,), (dim,), grow
-
-
-def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray | slice, ...]:
+def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
     """The word blocks that the Gram matrix and the ideal slice of sector n live on.
 
-    When T is graded and B (if any) preserves letter content, these are the
-    :func:`content_blocks`: the Gram matrix, the ideal slice and its
-    complement are then block-diagonal over them.  Otherwise the sector is one
-    block, given as a plain slice so that indexing by it makes no copy.
+    Each block is given by its ascending word offsets.  When T is graded and
+    B (if any) preserves letter content, every letter has its own label
+    (:func:`_labels`) and these are the :func:`content_blocks`: the Gram
+    matrix, the ideal slice and its complement are then block-diagonal over
+    them.  Otherwise the sector is one block, ``arange(N^n)``.
     """
-    return _partition(system.dim, n, _content_graded(system))[0]
+    return _content_partition(_labels(system), n)
 
 
 def sector_spectrum(
@@ -724,12 +726,11 @@ def _ideal_bases(
         w, form = _weight_form(system)
         gen = eye(n_sp * n_sp) - form.braid.mat
         words = word_blocks(form, n)
-        offsets = [np.arange(dim)[rows] for rows in words]
-        largest = max(block.size for block in offsets)
+        largest = max(block.size for block in words)
         _check_entries(largest, (n - 1) * largest, "ideal generator stack")
         _check_entries(dim, dim, "ideal span and complement")
         bases = [span_and_complement(_block_generators(gen, block, n_sp, n), block.size, eps)
-                 for block in offsets]
+                 for block in words]
         span = _scatter_rows(dim, words, [span_b for span_b, _ in bases])
         comp = _scatter_rows(dim, words, [comp_b for _, comp_b in bases])
         if form is not system:
@@ -788,27 +789,27 @@ def descended_operators(
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).
     q_up_c = dagger(q_up[creation_rows(system, i, n)])
-    if span_n.shape[1]:
-        res_c = max_abs(q_up_c @ span_n)
-        if not res_c <= eps:  # a NaN residual fails too
-            raise NotWellDefined(
-                f"creation does not preserve the ideal at degree {n} "
-                f"(residual {res_c:.3e})"
-            )
+    res_c = max_abs(q_up_c @ span_n)  # 0 for an empty span
+    if not res_c <= eps:  # a NaN residual fails too
+        raise NotWellDefined(
+            f"creation does not preserve the ideal at degree {n} "
+            f"(residual {res_c:.3e})"
+        )
     if n == 0:
-        ann = np.zeros((0, q_n.shape[1]), dtype=complex)
-    else:
-        _, q_down = _ideal_bases(system, n - 1, eps)
-        amat = annihilation_matrix(system, i, n)
-        if span_n.shape[1]:
-            res_a = max_abs(dagger(q_down) @ (amat @ span_n))
-            if not res_a <= eps:
-                raise NotWellDefined(
-                    f"annihilation does not preserve the ideal at degree {n} "
-                    f"(residual {res_a:.3e}); (T, B) violate the consistency laws"
-                )
-        ann = dagger(q_down) @ amat @ q_n
-    return q_up_c @ q_n, ann
+        return q_up_c @ q_n, np.zeros((0, q_n.shape[1]), dtype=complex)
+    # A_i [span_n | q_n], block by block from the slices: no dense level.
+    _, q_down = _ideal_bases(system, n - 1, eps)
+    k, cols = span_n.shape[1], np.hstack([span_n, q_n])
+    image = np.zeros((q_down.shape[0], cols.shape[1]), dtype=complex)
+    for rows, words, part in _letter_parts(system, i - 1, n):
+        image[rows] = part @ cols[words]
+    res_a = max_abs(dagger(q_down) @ image[:, :k])
+    if not res_a <= eps:
+        raise NotWellDefined(
+            f"annihilation does not preserve the ideal at degree {n} "
+            f"(residual {res_a:.3e}); (T, B) violate the consistency laws"
+        )
+    return q_up_c @ q_n, dagger(q_down) @ image[:, k:]
 
 
 def sector_report(

@@ -33,7 +33,7 @@ from .errors import ExpressionSyntaxError, SpeciesOutOfRange
 from .fock import (
     _annihilate_placed,
     _check_entries,
-    _partition,
+    _content_partition,
     _scatter,
     _sector_dim,
     _Walk,
@@ -511,34 +511,33 @@ class EvaluationBlock:
     words ``cols[c]``) to word block b of the target sector (the words
     ``rows[b]``); a pair of blocks without a piece, and every entry outside
     the pieces, is zero.  The blocks are those of
-    :func:`~wickforge.fock.word_blocks` (a plain slice when a sector is one
-    block).  ``mat`` is the dense matrix, the pieces scattered into zeros,
-    built on first use.
+    :func:`~wickforge.fock.word_blocks`, grouped by the letter ``labels``.
+    ``mat`` is the dense matrix, the pieces scattered into zeros (or the one
+    piece itself when both sectors are one block), built on first use.
     """
 
-    n_species: int
+    labels: tuple
     target: int
     n: int
-    by_content: bool
     pieces: dict
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.n_species**self.target, self.n_species**self.n
+        return len(self.labels) ** self.target, len(self.labels) ** self.n
 
     @property
     def rows(self) -> tuple:
-        return _partition(self.n_species, self.target, self.by_content)[0]
+        return _content_partition(self.labels, self.target)
 
     @property
     def cols(self) -> tuple:
-        return _partition(self.n_species, self.n, self.by_content)[0]
+        return _content_partition(self.labels, self.n)
 
     @cached_property
     def mat(self) -> np.ndarray:
-        if not self.by_content and self.pieces:
-            return self.pieces[(0, 0)]
         rows, cols = self.rows, self.cols
+        if len(rows) == len(cols) == 1 and self.pieces:
+            return self.pieces[(0, 0)]
         return _scatter(self.shape, "evaluation block",
                         ((rows[b], cols[c], piece) for (b, c), piece in self.pieces.items()))
 
@@ -653,8 +652,7 @@ def evaluation_blocks(
     for held in pieces.values():
         for piece in held.values():
             piece.setflags(write=False)
-    return {target: EvaluationBlock(n_species=n_sp, target=target, n=n,
-                                    by_content=walk.by_content, pieces=held)
+    return {target: EvaluationBlock(labels=walk.labels, target=target, n=n, pieces=held)
             for target, held in pieces.items()}
 
 

@@ -286,8 +286,8 @@ def placed_reference(system, walk, m, b, rows, block):
     largest entry of the result on the other words.
     """
     n_sp = system.dim
-    offsets = np.arange(n_sp**m)[fock._partition(n_sp, m, walk.by_content)[0][b]]
-    below = fock._partition(n_sp, m - 1, walk.by_content)[0]
+    offsets = np.arange(n_sp**m)[fock._content_partition(walk.labels, m)[b]]
+    below = fock._content_partition(walk.labels, m - 1)
     refs = []
     for l0 in range(n_sp):
         full = annihilation_matrix(system, l0 + 1, m)[:, offsets[rows]]
@@ -388,8 +388,8 @@ class TestPlacedAnnihilation:
             top = max_degree if is_graded(system.cross) else max_degree - 5 + n_species
             for m in range(1, top + 1):
                 walk = fock._Walk(system, 0)
-                blocks = fock._partition(n_species, m, walk.by_content)[0]
-                below = fock._partition(n_species, m - 1, walk.by_content)[0]
+                blocks = fock._content_partition(walk.labels, m)
+                below = fock._content_partition(walk.labels, m - 1)
                 for word_offset in rng.choice(n_species**m, 3):
                     word = sector_basis(n_species, m).basis[word_offset]
                     b, pos = next((b, int(np.flatnonzero(np.arange(n_species**m)[rows]
@@ -584,6 +584,80 @@ def dense_complement_projector(system: StatisticsSystem, degree: int) -> np.ndar
     return u[:, rank:] @ dagger(u[:, rank:])
 
 
+def assert_labelled_tables(labels: tuple, n: int) -> None:
+    """The word blocks of sector n under ``labels`` against the words themselves.
+
+    Each block is ascending and holds exactly the words of one count of each
+    label; the blocks partition the sector; each head names a run of its
+    block, the runs tile the block in order, run j0 holds the words of block
+    p of sector n-1 with letter j0 + 1 prepended, and ``grow`` inverts the
+    heads.
+    """
+    n_sp = len(labels)
+    words = sector_basis(n_sp, n).basis
+    counts, heads, sizes, grow = fock._content_heads(labels, n)
+    blocks = fock._content_partition(labels, n)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(n_sp**n))
+    for b, block in enumerate(blocks):
+        assert len(block) == sizes[b] and np.all(np.diff(block) > 0)
+        assert {tuple(sum(labels[x - 1] == k for x in words[o]) for k in range(max(labels) + 1))
+                for o in block.tolist()} == {counts[b]}
+    if n == 0:
+        assert heads == ({},) and grow is None
+        return
+    below = fock._content_partition(labels, n - 1)
+    for b, runs in enumerate(heads):
+        edges = [(lo, hi) for _, lo, hi in runs.values()]
+        assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
+        assert edges[-1][1] == sizes[b]
+        for j0, (p, lo, hi) in runs.items():
+            assert grow[j0][p] == (b, lo)
+            assert np.array_equal(blocks[b][lo:hi], j0 * n_sp ** (n - 1) + below[p])
+    assert sum(len(runs) for runs in heads) == n_sp * len(below) == sum(map(len, grow))
+
+
+class TestLabels:
+    """Every labelling of the letters gives its word blocks by the one recursion."""
+
+    @pytest.mark.parametrize("n_species", [1, 2, 3, 4])
+    def test_one_label_gives_the_whole_sector(self, fresh_cache, n_species):
+        labels = (0,) * n_species
+        for n in range(7):
+            size = n_species ** (n - 1) if n else 0
+            counts, heads, sizes, grow = fock._content_heads(labels, n)
+            assert counts == ((n,),) and sizes == (n_species**n,)
+            assert heads == ({j0: (0, j0 * size, (j0 + 1) * size)
+                              for j0 in range(n_species)} if n else {},)
+            assert grow == (tuple([(0, j0 * size)] for j0 in range(n_species)) if n else None)
+            (words,) = fock._content_partition(labels, n)
+            assert np.array_equal(words, np.arange(n_species**n))
+            if n <= 4:
+                assert_labelled_tables(labels, n)
+
+    @pytest.mark.parametrize("n_species,max_degree", [(1, 5), (2, 6), (3, 4), (4, 3)])
+    def test_own_labels_give_the_content_blocks(self, fresh_cache, n_species, max_degree):
+        # content_blocks itself is checked against the words in TestGrading
+        labels = tuple(range(n_species))
+        for n in range(max_degree + 1):
+            assert fock._content_partition(labels, n) is content_blocks(n_species, n)
+            assert_labelled_tables(labels, n)
+
+    @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1, 0), (1, 0)])
+    def test_coarser_labels_join_content_blocks(self, fresh_cache, labels):
+        for n in range(6):
+            assert_labelled_tables(labels, n)
+            owner = {offset: b for b, block in enumerate(fock._content_partition(labels, n))
+                     for offset in block.tolist()}
+            for block in content_blocks(len(labels), n):
+                assert len({owner[offset] for offset in block.tolist()}) == 1
+
+    def test_system_labels(self, fresh_cache, boson2):
+        rotated = haar_rotated(boson2, np.random.default_rng(3))
+        assert fock._labels(boson2) == (0, 1)
+        assert fock._labels(rotated) == (0, 0)
+        assert fock._labels(make_preset("fermion", 1)) == (0,)
+
+
 def braided_systems(n_species: int) -> list[StatisticsSystem]:
     return [make_preset("boson", n_species), make_preset("fermion", n_species),
             make_preset("phase", n_species, phi=np.pi / 3)]
@@ -631,7 +705,8 @@ class TestBlockwiseAssembly:
         system = haar_rotated(make_preset("phase", 2, phi=np.pi / 3), rng)
         assert not preserves_content(system.braid)
         for degree in range(5):
-            assert word_blocks(system, degree) == (slice(0, 2**degree),)
+            (words,) = word_blocks(system, degree)
+            assert np.array_equal(words, np.arange(2**degree))
             gram = gram_matrix(system, degree)
             assert gram.mat is gram.blocks[0]  # no scatter, no copy
             assert max_abs(gram.mat - dense_gram_recursion(system, degree)) == 0.0
@@ -649,7 +724,8 @@ class TestBlockwiseAssembly:
         assert is_graded(mixed.cross) and not preserves_content(braid)
         assert all(preserves_content(s.braid) for s in braided_systems(3))
         for degree in range(5):
-            assert word_blocks(mixed, degree) == (slice(0, 2**degree),)
+            (words,) = word_blocks(mixed, degree)
+            assert np.array_equal(words, np.arange(2**degree))
             assert word_blocks(boson, degree) is content_blocks(2, degree)
             assert max_abs(gram_matrix(mixed, degree).mat
                            - gram_matrix(boson, degree).mat) <= 1e-12 * 4**degree
@@ -767,7 +843,7 @@ class TestWeightForm:
         rng = np.random.default_rng(17)
         for base, rotated in rotated_twins(n_species, rng):
             form = fock._weight_form(rotated)[1]
-            assert fock._content_graded(form), base.label
+            assert len(set(fock._labels(form))) == n_species, base.label
             for degree in range(max_degree + 1):
                 want = sector_spectrum(base, degree)
                 got = sector_spectrum(rotated, degree)
@@ -802,7 +878,8 @@ class TestWeightForm:
         w, form = fock._weight_form(system)
         assert form is system and np.array_equal(w, np.eye(n_species))
         for degree in range(5 if n_species == 2 else 4):
-            assert word_blocks(system, degree) == (slice(0, n_species**degree),)
+            (words,) = word_blocks(system, degree)
+            assert np.array_equal(words, np.arange(n_species**degree))
             gram = gram_matrix(system, degree).mat
             full = np.linalg.eigvalsh(gram)
             assert max_abs(sector_spectrum(system, degree) - full) <= 1e-12 * max(
@@ -1027,6 +1104,36 @@ class TestDescendedOperators:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NotWellDefined, match=r"degree 3 \(residual nan\)"):
             descended_operators(system, 1, 3)
+
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_builds_no_annihilation_level(self, fresh_cache, monkeypatch, n_species):
+        def refuse(*args):
+            raise AssertionError("an annihilation level was built")
+
+        monkeypatch.setattr(fock, "annihilation_matrix", refuse)
+        monkeypatch.setattr(fock, "_scatter", refuse)
+        rng = np.random.default_rng(51)
+        for base in braided_systems(n_species):
+            for system in (base, haar_rotated(base, rng)):
+                for n in range(5):
+                    for i in range(1, n_species + 1):
+                        descended_operators(system, i, n)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_products_match_the_dense_level(self, fresh_cache, n_species):
+        rng = np.random.default_rng(53)
+        for base in braided_systems(n_species):
+            for system in (base, haar_rotated(base, rng)):
+                for n in range(1, 5):
+                    _, q_down = fock._ideal_bases(system, n - 1, EPS)
+                    q_n = quotient_sector(system, n).quotient.complement_basis
+                    for i in range(1, n_species + 1):
+                        ref = dagger(q_down) @ annihilation_matrix(system, i, n) @ q_n
+                        got = descended_operators(system, i, n)[1]
+                        assert got.shape == ref.shape
+                        assert max_abs(got - ref) <= 1e-13 * max(1.0, max_abs(ref)), (
+                            system.label, n, i)
 
 
 class TestRepresentationContract:

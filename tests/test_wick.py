@@ -457,7 +457,7 @@ class TestReferences:
 
         monkeypatch.setattr(fock._Walk, "slices", counted)
         got = evaluation_blocks(nf, twisted2, n)
-        counts = fock._content_heads(2, n)[0]
+        counts = fock._content_heads((0, 1), n)[0]
 
         def lives(suffix, c):
             return all(counts[c][s - 1] >= sum(g.species == s for g in suffix) for s in (1, 2))
@@ -549,7 +549,8 @@ class TestEvaluationPieces:
                     ref = dense_blocks(form, system, n)
                     assert set(got) == set(ref), (system.label, n)
                     for target, block in got.items():
-                        assert block.by_content and block.shape == ref[target].shape
+                        assert block.labels == tuple(range(system.dim))
+                        assert block.shape == ref[target].shape
                         scale = max(1.0, max_abs(ref[target]))
                         assert max_abs(block.mat - ref[target]) <= 1e-12 * scale
                         # every piece maps a source block into one target block
@@ -570,7 +571,7 @@ class TestEvaluationPieces:
     def test_one_block_is_the_dense_matrix(self):
         system = haar_rotated(twisted_ccr(2, 0.6), np.random.default_rng(47))
         got = evaluation_blocks(parse_expression("a(1) c(2) + c(1)", 2), system, 2)
-        assert not got[2].by_content and set(got[2].pieces) == {(0, 0)}
+        assert got[2].labels == (0, 0) and set(got[2].pieces) == {(0, 0)}
         assert got[2].mat is got[2].pieces[(0, 0)]
 
 
