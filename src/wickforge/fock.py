@@ -39,14 +39,16 @@ from .operators import (
     graded_part,
     is_graded,
     preserves_content,
+    real_part,
     weight_basis,
 )
 
 #: Hard ceiling on sector dimension N^n; exceeding it raises SizeLimit.
 SECTOR_CAP = 100_000
 
-#: Hard ceiling on the entries of one dense matrix built from sectors (256 MiB
-#: of complex entries); exceeding it raises SizeLimit.
+#: Hard ceiling on the entries of one dense matrix built from sectors, whatever
+#: their dtype (256 MiB of complex or 128 MiB of real entries); exceeding it
+#: raises SizeLimit.
 ENTRY_CAP = 2**24
 
 Word = tuple[int, ...]
@@ -94,10 +96,10 @@ def _check_entries(rows: int, cols: int, what: str, held: int = 0) -> None:
                         + (f" with the {held} entries held beside it" if held else ""))
 
 
-def _scatter(shape: tuple[int, int], what: str, parts) -> np.ndarray:
-    """Read-only zeros with each ``(rows, cols, part)`` placed, capped before ``parts`` is read."""
+def _scatter(shape: tuple[int, int], dtype, what: str, parts) -> np.ndarray:
+    """Read-only ``dtype`` zeros with each ``(rows, cols, part)`` placed, capped before reading."""
     _check_entries(*shape, what)
-    mat = np.zeros(shape, dtype=complex)
+    mat = np.zeros(shape, dtype=dtype)
     for rows, cols, part in parts:
         mat[rows[:, None], cols] = part
     mat.setflags(write=False)
@@ -165,7 +167,7 @@ class GramMatrix:
     def mat(self) -> np.ndarray:
         if len(self.blocks) == 1:
             return self.blocks[0]
-        return _scatter((self.dim, self.dim), "dense Gram matrix",
+        return _scatter((self.dim, self.dim), self.blocks[0].dtype, "dense Gram matrix",
                         zip(self.words, self.words, self.blocks))
 
     @property
@@ -242,7 +244,7 @@ def _annihilation_slices(
     for b, (runs, size) in enumerate(zip(heads, sizes)):
         slices = [None] * n_sp
         for i0, (_, lo, hi) in runs.items():
-            slices[i0] = np.zeros((hi - lo, size), dtype=complex)
+            slices[i0] = np.zeros((hi - lo, size), dtype=walk.dtype)
         _annihilate_placed(walk, m, b, slice(0, size), None, walk.species[-1], slices)
         for mat in slices:
             if mat is not None:
@@ -265,7 +267,7 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     _sector_dim(n_sp, n)
     if len(_content_heads(_labels(system), n)[2]) == 1:
         return _annihilation_slices(system, n)[0][i - 1]
-    return _scatter((n_sp ** (n - 1), n_sp**n), "annihilation level",
+    return _scatter((n_sp ** (n - 1), n_sp**n), _field(system), "annihilation level",
                     _letter_parts(system, i - 1, n))
 
 
@@ -290,7 +292,8 @@ def _walk_species(system: StatisticsSystem) -> tuple:
     The set is the smallest one that holds s0 (all, in the last entry) and
     every l of a nonzero ``T^{ij}_{kl}`` with i in it (``{s0}`` for a
     flip-scaled T).  The nonzeros are listed per first letter j0 as ``(k0,
-    l0, i0, T^{i0 j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``.
+    l0, i0, T^{i0 j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``;
+    the coefficients are real when the system is (:func:`_field`).
     """
     key = ("walkspecies", system.content_key)
     cached = _cache_get(key)
@@ -298,6 +301,8 @@ def _walk_species(system: StatisticsSystem) -> tuple:
         return cached
     n_sp = system.dim
     t4 = system.cross.tensor()
+    if _field(system) is float:
+        t4 = t4.real
     nonzeros = list(zip(*(idx.tolist() for idx in np.nonzero(t4))))
     feeds = [{l0 for _, l0, i0, _ in nonzeros if i0 == s0} for s0 in range(n_sp)]
     by_first = [[] for _ in range(n_sp)]
@@ -322,12 +327,13 @@ class _Walk:
     (:func:`_labels`).  :meth:`level` reads the heads, sizes and growth of a
     sector and :meth:`slices` the annihilation slices of a degree ``<=
     floor``; each takes the cache lock once per degree and call.
-    ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`).
+    ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`), and
+    ``dtype`` the system's field (:func:`_field`).
     """
 
     def __init__(self, system: StatisticsSystem, floor: int):
         self.system, self.n_species, self.floor = system, system.dim, floor
-        self.labels = _labels(system)
+        self.labels, self.dtype = _labels(system), _field(system)
         self.species = _walk_species(system)
         self._levels = {}
         self._slices = {}
@@ -366,13 +372,14 @@ def _annihilate_placed(
     slices ``A_l[b - e_l, b]`` are read on those columns.  Above ``floor``
     the one-step recursion acts instead, adding into ``out`` when the caller
     has allocated it (zeros or None per species) and otherwise into zeros
-    allocated here, the entries of all species bounded together by the
-    entry cap.  The rows are split by the first-letter runs of block b, each
-    live tail is annihilated one degree down in its block p, and ``A_i``
-    collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x) A_l(tail)``, the
-    second term in run k of block ``b - e_i`` (for the identity, in the
-    columns of run j).  No slice above ``floor`` is built.  On a one-block
-    partition this is the recursion on the whole sector.
+    allocated here in the field of the walk and the block, the entries of
+    all species bounded together by the entry cap.  The rows are split by
+    the first-letter runs of block b, each live tail is annihilated one
+    degree down in its block p, and ``A_i`` collects ``delta_ij tail + sum
+    T^{ij}_{kl} x^k (x) A_l(tail)``, the second term in run k of block ``b -
+    e_i`` (for the identity, in the columns of run j).  No slice above
+    ``floor`` is built.  On a one-block partition this is the recursion on
+    the whole sector.
     """
     wanted, rules = species
     if m <= walk.floor:
@@ -388,9 +395,10 @@ def _annihilate_placed(
         width = rows.stop - rows.start if block is None else block.shape[1]
         targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
         _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
+        dtype = walk.dtype if block is None else np.result_type(walk.dtype, block)
         out = [None] * walk.n_species
         for i0, p in targets:
-            out[i0] = np.zeros((below[p], width), dtype=complex)
+            out[i0] = np.zeros((below[p], width), dtype=dtype)
     first, last = rows.start, rows.stop
     for j0, (p, lo, hi) in runs.items():
         start, stop = (lo if lo > first else first), (hi if hi < last else last)
@@ -426,7 +434,7 @@ def _gram(system: StatisticsSystem, n: int) -> GramMatrix:
     labels = _labels(system)
     _, heads, sizes, _ = _content_heads(labels, n)
     if n == 0:
-        blocks = (np.ones((1, 1), dtype=complex),)
+        blocks = (np.ones((1, 1), dtype=_field(system)),)
     else:
         for size in sizes:  # refused before the recursion builds anything
             _check_entries(size, size, "Gram block")
@@ -472,6 +480,23 @@ def _labels(system: StatisticsSystem) -> tuple[int, ...]:
         braid = system.braid
         graded = is_graded(system.cross) and (braid is None or preserves_content(braid))
         cached = _cache_put(key, tuple(range(system.dim)) if graded else (0,) * system.dim)
+    return cached
+
+
+def _field(system: StatisticsSystem) -> type:
+    """``float`` when no entry of T or B has an imaginary part, and otherwise ``complex``.
+
+    The dtype of the system's annihilation slices, Gram blocks and ideal
+    bases, so that a real system takes the real BLAS and LAPACK routes at
+    half the bytes.  A weight form whose imaginary parts are rounding is
+    made real (:func:`_weight_form`).  The operators themselves keep their
+    complex storage.
+    """
+    key = ("field", system.content_key)
+    cached = _cache_get(key)
+    if cached is None:
+        parts = [system.cross.mat] + ([] if system.braid is None else [system.braid.mat])
+        cached = _cache_put(key, complex if any(np.any(m.imag) for m in parts) else float)
     return cached
 
 
@@ -558,9 +583,12 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
     the basis of :func:`~wickforge.operators.weight_basis` and cut to the
     graded patterns (:func:`~wickforge.operators.graded_part`); the cut form
     is accepted only when the entries it drops are rounding, at most
-    ``ROUNDING * max(1, max|T|, max|B|)``.  A system without such a torus
-    keeps ``W = 1`` and itself, one block per sector.  Every basis-invariant
-    verdict (Gram spectra, ideal and quotient dimensions) can be taken on it.
+    ``ROUNDING * max(1, max|T|, max|B|)``.  By the same rule, the imaginary
+    parts of the cut form are dropped (:func:`~wickforge.operators.real_part`)
+    when all of them are rounding, so that its arithmetic is real
+    (:func:`_field`).  A system without such a torus keeps ``W = 1`` and
+    itself, one block per sector.  Every basis-invariant verdict (Gram
+    spectra, ideal and quotient dimensions) can be taken on it.
     """
     if len(set(_labels(system))) == system.dim:
         return eye(system.dim), system
@@ -569,10 +597,13 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
     if cached is None:
         w = weight_basis(system)
         graded, dropped = graded_part(change_basis(system, w))
-        scale = max(1.0, max_abs(system.cross.mat),
-                    0.0 if system.braid is None else max_abs(system.braid.mat))
-        cached = _cache_put(key, (w, graded) if dropped <= ROUNDING * scale
-                            else (eye(system.dim), None))
+        tol = ROUNDING * max(1.0, max_abs(system.cross.mat),
+                             0.0 if system.braid is None else max_abs(system.braid.mat))
+        if dropped <= tol:
+            real, imag = real_part(graded)
+            cached = _cache_put(key, (w, real if imag <= tol else graded))
+        else:
+            cached = _cache_put(key, (eye(system.dim), None))
     w, form = cached
     return w, system if form is None else form
 
@@ -690,8 +721,8 @@ def _block_generators(
 
 
 def _scatter_rows(dim: int, words, parts) -> np.ndarray:
-    """The parts side by side, each with its rows placed on its word block."""
-    out = np.zeros((dim, sum(part.shape[1] for part in parts)), dtype=complex)
+    """The parts side by side, each with its rows placed on its word block, in their dtype."""
+    out = np.zeros((dim, sum(part.shape[1] for part in parts)), dtype=np.result_type(*parts))
     col = 0
     for rows, part in zip(words, parts):
         out[rows, col:col + part.shape[1]] = part
@@ -699,18 +730,18 @@ def _scatter_rows(dim: int, words, parts) -> np.ndarray:
     return out
 
 
-def _ideal_bases(
-    system: StatisticsSystem, n: int, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the degree-n slice of the braid ideal and its complement.
+def _ideal_split(system: StatisticsSystem, n: int, eps: float) -> tuple[np.ndarray, int]:
+    """An orthonormal basis of sector n whose first k columns span the degree-n ideal slice, and k.
 
-    The generators are the columns of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)``
-    over the insertion positions p.  They are formed in the weight basis
-    (:func:`_weight_form`), where each one stays inside the word block of its
+    The other columns span its complement.  The generators are the columns
+    of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)`` over the insertion positions
+    p.  They are formed in the weight basis (:func:`_weight_form`), in its
+    field (:func:`_field`), where each one stays inside the word block of its
     column (:func:`word_blocks`), so the span and the complement are taken
     block by block, each with the rank cutoff ``eps * max(1, sigma_max)`` of
-    its own block, scattered back into sector-n columns and mapped to the
-    standard basis by ``W^(x)n``.
+    its own block.  The span blocks, then the complement blocks, each in
+    word-block order, are scattered into one array of sector-n rows and
+    mapped to the standard basis by ``W^(x)n``.
     """
     if system.braid is None:
         raise NoBraid("no braid operator: the free algebra has no quotient")
@@ -721,23 +752,35 @@ def _ideal_bases(
     if cached is not None:
         return cached
     if n < 2:
-        span, comp = np.zeros((dim, 0), dtype=complex), eye(dim)
+        basis, k = np.eye(dim, dtype=_field(system)), 0
     else:
         w, form = _weight_form(system)
-        gen = eye(n_sp * n_sp) - form.braid.mat
+        braid = form.braid.mat
+        gen = np.eye(n_sp * n_sp) - (braid.real if _field(form) is float else braid)
         words = word_blocks(form, n)
         largest = max(block.size for block in words)
         _check_entries(largest, (n - 1) * largest, "ideal generator stack")
         _check_entries(dim, dim, "ideal span and complement")
         bases = [span_and_complement(_block_generators(gen, block, n_sp, n), block.size, eps)
                  for block in words]
-        span = _scatter_rows(dim, words, [span_b for span_b, _ in bases])
-        comp = _scatter_rows(dim, words, [comp_b for _, comp_b in bases])
+        k = sum(span_b.shape[1] for span_b, _ in bases)
+        basis = _scatter_rows(dim, words + words, [span_b for span_b, _ in bases]
+                              + [comp_b for _, comp_b in bases])
         if form is not system:
-            span, comp = _apply_tensor_power(w, span, n), _apply_tensor_power(w, comp, n)
-    span.setflags(write=False)
-    comp.setflags(write=False)
-    return _cache_put(key, (span, comp))
+            basis = _apply_tensor_power(w, basis, n)
+    basis.setflags(write=False)
+    return _cache_put(key, (basis, k))
+
+
+def _ideal_bases(
+    system: StatisticsSystem, n: int, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the ideal slice of sector n and its complement (:func:`_ideal_split`).
+
+    Both are column views of the one cached basis.
+    """
+    basis, k = _ideal_split(system, n, eps)
+    return basis[:, :k], basis[:, k:]
 
 
 def ideal_subspace(
@@ -785,7 +828,8 @@ def descended_operators(
     # The larger sector first, so that an oversized one is refused before
     # the smaller one is built.
     _, q_up = _ideal_bases(system, n + 1, eps)
-    span_n, q_n = _ideal_bases(system, n, eps)
+    basis_n, k = _ideal_split(system, n, eps)
+    span_n, q_n = basis_n[:, :k], basis_n[:, k:]
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).
     q_up_c = dagger(q_up[creation_rows(system, i, n)])
@@ -796,13 +840,13 @@ def descended_operators(
             f"(residual {res_c:.3e})"
         )
     if n == 0:
-        return q_up_c @ q_n, np.zeros((0, q_n.shape[1]), dtype=complex)
+        return q_up_c @ q_n, np.zeros((0, q_n.shape[1]), dtype=q_n.dtype)
     # A_i [span_n | q_n], block by block from the slices: no dense level.
     _, q_down = _ideal_bases(system, n - 1, eps)
-    k, cols = span_n.shape[1], np.hstack([span_n, q_n])
-    image = np.zeros((q_down.shape[0], cols.shape[1]), dtype=complex)
+    image = np.zeros((q_down.shape[0], basis_n.shape[1]),
+                     dtype=np.result_type(_field(system), basis_n))
     for rows, words, part in _letter_parts(system, i - 1, n):
-        image[rows] = part @ cols[words]
+        image[rows] = part @ basis_n[words]
     res_a = max_abs(dagger(q_down) @ image[:, :k])
     if not res_a <= eps:
         raise NotWellDefined(

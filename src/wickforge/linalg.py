@@ -1,6 +1,9 @@
-"""Dense complex linear algebra substrate.
+"""Dense linear algebra substrate over the real or the complex field.
 
-All matrices are ``numpy.ndarray`` with dtype ``complex128``.  Tensor indices
+All matrices are ``numpy.ndarray`` with dtype ``complex128``, or ``float64``
+where the arithmetic is real: the functions here keep a ``float64`` input in
+``float64`` (and so take the real LAPACK and BLAS routes) and coerce every
+other input to ``complex128``.  Tensor indices
 are flattened row-major: the basis vector ``x^{i1} (x) ... (x) x^{in}`` of an
 N-ary tensor power sits at offset ``sum((i_k - 1) * N**(n-k))`` (letters are
 1-based, offsets 0-based).  Every module in the package relies on this one
@@ -28,9 +31,15 @@ def resolve_eps(eps: float | None) -> float:
     return float(eps)
 
 
+def _in_field(a) -> np.ndarray:
+    """``a`` as an array: ``float64`` stays real, every other dtype becomes ``complex128``."""
+    m = np.asarray(a)
+    return m if m.dtype in (np.float64, np.complex128) else m.astype(complex)
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce to a 2-d real or complex array (:func:`_in_field`), rejecting NaN/Inf entries."""
+    m = _in_field(a)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m.view(float))):
@@ -55,8 +64,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    """Conjugate transpose; the transpose of a ``float64`` input, which stays real."""
+    return _in_field(a).conj().T
 
 
 def hermitian_spectrum(
@@ -116,9 +125,9 @@ def kernel_basis(a: np.ndarray, eps: float | None = None) -> np.ndarray:
     eps = resolve_eps(eps)
     m = as_matrix(a)
     if m.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=m.dtype)
     if m.shape[0] == 0:
-        return eye(m.shape[1])
+        return np.eye(m.shape[1], dtype=m.dtype)
     _, s, vh = np.linalg.svd(m)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > eps * max(1.0, smax)))
@@ -136,14 +145,15 @@ def span_and_complement(
     at or below ``eps * max(1, sigma_max)`` count as zero.
     """
     eps = resolve_eps(eps)
-    vecs = np.asarray(vectors, dtype=complex)
+    vecs = _in_field(vectors)
     if vecs.ndim != 2 or vecs.shape[0] != ambient_dim:
         raise ValueError(
             f"expected an {ambient_dim} x k matrix of column vectors, "
             f"got shape {vecs.shape}"
         )
     if vecs.shape[1] == 0:
-        return np.zeros((ambient_dim, 0), dtype=complex), eye(ambient_dim)
+        return (np.zeros((ambient_dim, 0), dtype=vecs.dtype),
+                np.eye(ambient_dim, dtype=vecs.dtype))
     # The complement needs all ambient_dim columns of U, which the reduced
     # SVD already returns when there are at least as many vectors; the full
     # one would also build the k x k right factor, which is never used.

@@ -70,7 +70,7 @@ class CrossOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
+        m = as_matrix(np.asarray(self.mat, dtype=complex))
         _check_square_pair(m, "cross operator")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -97,7 +97,7 @@ class BraidOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
+        m = as_matrix(np.asarray(self.mat, dtype=complex))
         _check_square_pair(m, "braid operator")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -228,6 +228,20 @@ def graded_part(system: StatisticsSystem) -> tuple[StatisticsSystem, float]:
         braid = BraidOperator(braid.reshape(n * n, n * n))
     return StatisticsSystem(cross=CrossOperator(cross.reshape(n * n, n * n)),
                             braid=braid, label=system.label), dropped
+
+
+def real_part(system: StatisticsSystem) -> tuple[StatisticsSystem, float]:
+    """The system with the imaginary parts of T and B dropped, and the largest one dropped.
+
+    The operators keep their complex storage; only the values lose their
+    imaginary parts.
+    """
+    braid, dropped = None, max_abs(system.cross.mat.imag)
+    if system.braid is not None:
+        braid = BraidOperator(system.braid.mat.real)
+        dropped = max(dropped, max_abs(system.braid.mat.imag))
+    return StatisticsSystem(cross=CrossOperator(system.cross.mat.real), braid=braid,
+                            label=system.label), dropped
 
 
 #: Per tensor axis ``(k, l, i, j)``: -1 where the slot transforms by conj(u)

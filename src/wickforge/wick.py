@@ -538,7 +538,7 @@ class EvaluationBlock:
         rows, cols = self.rows, self.cols
         if len(rows) == len(cols) == 1 and self.pieces:
             return self.pieces[(0, 0)]
-        return _scatter(self.shape, "evaluation block",
+        return _scatter(self.shape, complex, "evaluation block",
                         ((rows[b], cols[c], piece) for (b, c), piece in self.pieces.items()))
 
 

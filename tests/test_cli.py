@@ -379,6 +379,15 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[1].startswith("verify: max residual nan")
 
+    @pytest.mark.parametrize("preset", [["boson"], ["fermion"], ["quon", "--q", "0.5"]])
+    def test_complex_coefficient_on_a_real_system(self, capsys, preset):
+        # the slices are float64; the evaluation pieces stay complex
+        expr = "(0.3, 0.7) a(1) c(2) + (0, -1) a(2) a(1) c(1) c(2)"
+        code, out, err = run(capsys, ["normal-order", expr, "--preset", *preset, "--dim", "2",
+                                      "--verify", "--max-sector", "4"])
+        assert code == 0, err
+        assert float(out.splitlines()[1].split()[3]) <= 1e-12
+
     def test_long_boson_word_to_sector_ten(self, capsys):
         # per-block evaluation: the whole-sector placed stack of sector 16
         # (65536 x 1024) would be over the entry cap

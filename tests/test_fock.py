@@ -28,12 +28,15 @@ from wickforge.fock import (
 )
 from wickforge.linalg import dagger, kernel_basis, max_abs
 from wickforge.operators import (
+    ROUNDING,
     BraidOperator,
     CrossOperator,
     StatisticsSystem,
     check_star,
+    dump_system,
     flip_matrix,
     is_graded,
+    load_system,
     preserves_content,
 )
 
@@ -759,10 +762,11 @@ def level_route_spectrum(system: StatisticsSystem, degree: int) -> np.ndarray:
     """``sector_spectrum`` with each Gram block read off whole dense levels.
 
     Block c of G_n stacks ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]`` with the
-    slice cut from ``annihilation_matrix``, on the blocks of the weight form.
+    slice cut from ``annihilation_matrix``, on the blocks of the weight form
+    and in its field.
     """
     form = fock._weight_form(system)[1]
-    grams = (np.ones((1, 1), dtype=complex),)
+    grams = (np.ones((1, 1), dtype=fock._field(form)),)
     for m in range(1, degree + 1):
         size = form.dim ** (m - 1)
         prev_words = [np.arange(size)[rows] for rows in word_blocks(form, m - 1)]
@@ -932,6 +936,107 @@ class TestWeightForm:
         for _ in range(degree):
             power = np.kron(power, w)
         assert max_abs(fock._apply_tensor_power(w, mat, degree) - power @ mat) <= 1e-13
+
+
+def hermitian_q(imag: float) -> StatisticsSystem:
+    """Flip-scaled T on N = 2 with ``q_12 = 0.5 + imag i = conj(q_21)`` and ``q_ii = 0.3``."""
+    qmat = np.array([[0.3, 0.5 + 1j * imag], [0.5 - 1j * imag, 0.3]])
+    t4 = np.zeros((2, 2, 2, 2), dtype=complex)  # t4[k, l, i, j] = T^{ij}_{kl}
+    for i in range(2):
+        for j in range(2):
+            t4[j, i, i, j] = qmat[i, j]
+    return StatisticsSystem(cross=CrossOperator(t4.reshape(4, 4)), label=f"q_12 imag {imag}")
+
+
+def built_dtypes(system: StatisticsSystem, degree: int) -> set:
+    """The dtypes of the cached slices of sectors 1..degree and Gram blocks of sectors 0..degree."""
+    dtypes = {block.dtype for n in range(degree + 1) for block in gram_matrix(system, n).blocks}
+    for m in range(1, degree + 1):
+        dtypes |= {mat.dtype for slices in fock._annihilation_slices(system, m)
+                   for mat in slices if mat is not None}
+    return dtypes
+
+
+class TestRealArithmetic:
+    """A system whose weight form has no imaginary part is built in float64."""
+
+    @staticmethod
+    def real_systems(n_species: int, rng: np.random.Generator) -> list[StatisticsSystem]:
+        """Real presets, the twisted and multi-q fixtures, and rotated twins of all but quon."""
+        fixtures = [twisted_ccr(n_species, 0.6), multi_q(n_species, rng)]
+        braided = [make_preset("boson", n_species), make_preset("fermion", n_species)]
+        return ([make_preset("quon", n_species, q=0.5)] + braided + fixtures
+                + [haar_rotated(system, rng) for system in braided + fixtures])
+
+    @pytest.mark.parametrize("n_species,degree", [(2, 5), (3, 4)])
+    def test_real_forms_build_slices_grams_and_ideals_in_float64(
+            self, fresh_cache, monkeypatch, n_species, degree):
+        svd_inputs = []
+        real = fock.span_and_complement
+
+        def spy(vectors, *args, **kwargs):
+            svd_inputs.append(vectors.dtype)
+            return real(vectors, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "span_and_complement", spy)
+        for system in self.real_systems(n_species, np.random.default_rng(61)):
+            form = fock._weight_form(system)[1]
+            assert fock._field(form) is float, system.label
+            sector_spectrum(system, degree)
+            assert built_dtypes(form, degree) == {np.dtype(float)}, system.label
+            if system.braid is None:
+                continue
+            svd_inputs.clear()
+            quotient_sector(system, degree)
+            assert svd_inputs and set(svd_inputs) == {np.dtype(float)}, system.label
+            basis, _ = fock._ideal_split(form, degree, EPS)
+            assert basis.dtype == float, system.label
+
+    def test_complex_forms_stay_complex(self, fresh_cache, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(dump_system(hermitian_q(0.2)))
+        rng = np.random.default_rng(67)
+        phase = make_preset("phase", 3, phi=phase_phi(3, np.pi / 3))
+        systems = [phase, haar_rotated(phase, rng), load_system(str(path)),
+                   haar_rotated(hermitian_q(4 * ROUNDING), rng), hermitian_q(1e-30)]
+        for system in systems:
+            form = fock._weight_form(system)[1]
+            assert fock._field(form) is complex, system.label
+            sector_spectrum(system, 3)
+            assert built_dtypes(form, 3) == {np.dtype(complex)}, system.label
+            if system.braid is not None:
+                assert fock._ideal_split(form, 3, EPS)[0].dtype == complex
+        # below the rounding cut the weight form drops the imaginary part
+        below = haar_rotated(hermitian_q(ROUNDING / 4), rng)
+        form = fock._weight_form(below)[1]
+        assert fock._field(form) is float and not np.any(form.cross.mat.imag)
+        assert form.cross.mat.dtype == complex  # the operators keep complex storage
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 6), (3, 4)])
+    def test_spectra_equal_the_complex_oracle(self, fresh_cache, n_species, max_degree):
+        rng = np.random.default_rng(71)
+        bases = ([system for system, _ in acceptance_systems(n_species)]
+                 + [twisted_ccr(n_species, 0.6), multi_q(n_species, rng)])
+        for base in bases:
+            for system in (base, haar_rotated(base, rng)):
+                for degree in range(max_degree + 1):
+                    # the recursion is seeded complex, so its products are complex
+                    want = np.linalg.eigvalsh(dense_gram_recursion(system, degree))
+                    got = sector_spectrum(system, degree)
+                    assert max_abs(got - want) <= 1e-13 * max(1.0, max_abs(want)), (
+                        system.label, degree)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_quotient_projectors_equal_the_complex_path(self, fresh_cache, n_species):
+        # Compare projectors, not bases: a real SVD may rotate the complement basis.
+        rng = np.random.default_rng(73)
+        for base in braided_systems(n_species)[:2]:
+            for system in (base, haar_rotated(base, rng)):
+                assert fock._field(fock._weight_form(system)[1]) is float
+                for degree in range(6):
+                    got = quotient_sector(system, degree).quotient.projector
+                    want = dense_complement_projector(system, degree)
+                    assert max_abs(got - want) <= 1e-12, (system.label, degree)
 
 
 class TestKernelGeneration:
