@@ -26,7 +26,7 @@ from .errors import (
     SpeciesOutOfRange,
 )
 from .fock import (
-    descended_operators,
+    _descended_annihilation,
     p2_kernel,
     quotient_sector,
     sector_report,
@@ -159,15 +159,12 @@ def _cmd_quotient(args) -> int:
     # The top sector first: an oversized range is refused before the smaller
     # sectors are computed.
     for n in reversed(_sectors_upto(args.max_sector)):
-        well = True
-        detail = ""
-        for i in range(1, system.dim + 1):
-            try:
-                descended_operators(system, i, n, eps)
-            except NotWellDefined as exc:
-                well = False
-                detail = str(exc)
-                break
+        well, detail = True, ""
+        try:
+            for i in range(1, system.dim + 1):
+                _descended_annihilation(system, i, n, eps)
+        except NotWellDefined as exc:
+            well, detail = False, str(exc)
         sectors.append({
             "sector": n,
             "dim": system.dim**n,

@@ -810,6 +810,28 @@ def quotient_sector(
     )
 
 
+def _descended_annihilation(system: StatisticsSystem, i: int, n: int, eps: float) -> np.ndarray:
+    """``Q_{n-1}^* A_i Q_n`` on quotient sectors, once ``A_i`` is checked to preserve the ideal.
+
+    Raises :class:`NotWellDefined` unless ``Q_{n-1}^* A_i`` vanishes on the
+    degree-n ideal slice.  Reads the bases of sectors n and n-1 only, n first,
+    and forms ``A_i`` block by block from the slices (:func:`_letter_parts`).
+    """
+    basis_n, k = _ideal_split(system, n, eps)
+    if n == 0:  # the vacuum is killed
+        return np.zeros((0, basis_n.shape[1] - k), dtype=basis_n.dtype)
+    _, q_down = _ideal_bases(system, n - 1, eps)
+    image = np.zeros((q_down.shape[0], basis_n.shape[1]),
+                     dtype=np.result_type(_field(system), basis_n))
+    for rows, words, part in _letter_parts(system, i - 1, n):
+        image[rows] = part @ basis_n[words]
+    res = max_abs(dagger(q_down) @ image[:, :k])  # 0 for an empty span
+    if not res <= eps:  # a NaN residual fails too
+        raise NotWellDefined(f"annihilation does not preserve the ideal at degree {n} (residual "
+                             f"{res:.3e}); (T, B) violate the consistency laws")
+    return dagger(q_down) @ image[:, k:]
+
+
 def descended_operators(
     system: StatisticsSystem,
     i: int,
@@ -818,42 +840,22 @@ def descended_operators(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Creation (n -> n+1) and annihilation (n -> n-1) on quotient sectors.
 
-    Raises :class:`NotWellDefined` unless creation and annihilation map the
-    degree-n ideal slice into the neighboring slices, which is exactly the
-    consistency requirement on (T, B).  At n = 0 the annihilation factor is
-    the empty map (the vacuum is killed).
+    Raises :class:`NotWellDefined` unless annihilation maps the degree-n ideal
+    slice into degree n-1 (:func:`_descended_annihilation`), the consistency
+    requirement on (T, B); at n = 0 its factor is the empty map.  Creation
+    needs no check: the ideal is two-sided and generated in degree 2, so
+    ``E (x) I_n`` lies in ``I_{n+1}`` for every (T, B).
     """
     eps = resolve_eps(eps)
     _check_species(system, i)
     # The larger sector first, so that an oversized one is refused before
-    # the smaller one is built.
+    # the smaller ones are built.
     _, q_up = _ideal_bases(system, n + 1, eps)
-    basis_n, k = _ideal_split(system, n, eps)
-    span_n, q_n = basis_n[:, :k], basis_n[:, k:]
+    annihilation = _descended_annihilation(system, i, n, eps)
+    _, q_n = _ideal_bases(system, n, eps)
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).
-    q_up_c = dagger(q_up[creation_rows(system, i, n)])
-    res_c = max_abs(q_up_c @ span_n)  # 0 for an empty span
-    if not res_c <= eps:  # a NaN residual fails too
-        raise NotWellDefined(
-            f"creation does not preserve the ideal at degree {n} "
-            f"(residual {res_c:.3e})"
-        )
-    if n == 0:
-        return q_up_c @ q_n, np.zeros((0, q_n.shape[1]), dtype=q_n.dtype)
-    # A_i [span_n | q_n], block by block from the slices: no dense level.
-    _, q_down = _ideal_bases(system, n - 1, eps)
-    image = np.zeros((q_down.shape[0], basis_n.shape[1]),
-                     dtype=np.result_type(_field(system), basis_n))
-    for rows, words, part in _letter_parts(system, i - 1, n):
-        image[rows] = part @ basis_n[words]
-    res_a = max_abs(dagger(q_down) @ image[:, :k])
-    if not res_a <= eps:
-        raise NotWellDefined(
-            f"annihilation does not preserve the ideal at degree {n} "
-            f"(residual {res_a:.3e}); (T, B) violate the consistency laws"
-        )
-    return q_up_c @ q_n, dagger(q_down) @ image[:, k:]
+    return dagger(q_up[creation_rows(system, i, n)]) @ q_n, annihilation
 
 
 def sector_report(

@@ -142,6 +142,28 @@ class TestExitCodes:
         assert out == ""
         assert calls == []
 
+    def test_quotient_builds_no_sector_above_the_top(self, capsys, monkeypatch):
+        # Creation maps the ideal into the ideal for every (T, B), so only
+        # annihilation is checked and sector 9, over the lowered entry cap
+        # (512 x 512 span and complement), is never built.
+        degrees = []
+        real = fock._ideal_split
+
+        def spy(system, n, eps):
+            degrees.append(n)
+            return real(system, n, eps)
+
+        monkeypatch.setattr(fock, "_ideal_split", spy)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 2**16)
+        code, out, _ = run(capsys, ["quotient", "--preset", "boson", "--dim", "2",
+                                    "--max-sector", "8"])
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[1:-1] == [f"sector {n}: dim {2**n}  quotient_dim {n + 1}  well_defined True"
+                              for n in range(9)]
+        assert rows[-1] == "result: PASS"
+        assert max(degrees) == 8
+
     @pytest.mark.parametrize("command", [["catalog"], ["gram", "--sector", "2"]])
     def test_quon_without_q_reads_the_same_everywhere(self, capsys, command):
         code, out, err = run(capsys, command + ["--preset", "quon"])

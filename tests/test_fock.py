@@ -13,6 +13,7 @@ from wickforge.fock import (
     annihilation_matrix,
     content_blocks,
     creation_matrix,
+    creation_rows,
     descended_operators,
     gram_matrix,
     ideal_subspace,
@@ -281,19 +282,22 @@ class TestAnnihilationMatrix:
                     assert max_abs(got - oracle) <= 1e-12, (system.label, n, i)
 
 
-def placed_reference(system, walk, m, b, rows, block):
+def placed_reference(system, walk, m, b, rows, block, levels):
     """Dense ``A_l`` of sector m on the block placed at positions rows of word block b, over l.
 
     Entry l0 is ``(inside, outside)``: the result on the words of block
     ``b - e_l`` of sector m-1 (None when block b lacks the letter), and the
-    largest entry of the result on the other words.
+    largest entry of the result on the other words.  ``levels`` holds the
+    dense levels of the system built so far, keyed by ``(l0, m)``.
     """
     n_sp = system.dim
     offsets = np.arange(n_sp**m)[fock._content_partition(walk.labels, m)[b]]
     below = fock._content_partition(walk.labels, m - 1)
     refs = []
     for l0 in range(n_sp):
-        full = annihilation_matrix(system, l0 + 1, m)[:, offsets[rows]]
+        if (l0, m) not in levels:
+            levels[l0, m] = annihilation_matrix(system, l0 + 1, m)
+        full = levels[l0, m][:, offsets[rows]]
         if block is not None:
             full = full @ block
         head = walk.level(m)[0][b].get(l0)
@@ -308,9 +312,9 @@ def assert_close(got, ref, what):
     assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref)), what
 
 
-def assert_placed(system, walk, m, b, rows, block, what):
+def assert_placed(system, walk, m, b, rows, block, what, levels):
     """Every species set of the walk against :func:`placed_reference`."""
-    refs = placed_reference(system, walk, m, b, rows, block)
+    refs = placed_reference(system, walk, m, b, rows, block, levels)
     scale = max(1.0, *(max_abs(inside) for inside, _ in refs if inside is not None))
     for species in walk.species:
         got = fock._annihilate_placed(walk, m, b, rows, block, species)
@@ -347,6 +351,7 @@ class TestPlacedAnnihilation:
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
     def test_identity_at_every_prefix_offset(self, fresh_cache, n_species, max_degree):
         for system in self.systems(n_species):
+            levels = {}  # each dense level once per system
             for m in range(1, max_degree + 1):
                 floors = {m - 1, m // 2} | ({0} if n_species**m <= 81 else set())
                 for floor in floors:
@@ -354,12 +359,13 @@ class TestPlacedAnnihilation:
                     for c, b, row in creator_placements(walk, floor, m):
                         rows = slice(row, row + walk.level(floor)[1][c])
                         assert_placed(system, walk, m, b, rows, None,
-                                      (system.label, m, floor, b, row))
+                                      (system.label, m, floor, b, row), levels)
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
     def test_dense_and_partly_zero_blocks(self, fresh_cache, n_species, max_degree):
         rng = np.random.default_rng(31)
         for system in self.systems(n_species):
+            levels = {}  # each dense level once per system
             for m in range(1, max_degree + 1):
                 for floor in sorted({0, m // 2, m - 1, m}):
                     walk = fock._Walk(system, floor)
@@ -380,7 +386,7 @@ class TestPlacedAnnihilation:
                     for row_b, block in ((row, dense), (0, sparse)):
                         rows = slice(row_b, row_b + block.shape[0])
                         assert_placed(system, walk, m, b, rows, block,
-                                      (system.label, m, floor, b, row_b))
+                                      (system.label, m, floor, b, row_b), levels)
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
     def test_matches_word_oracle(self, fresh_cache, n_species, max_degree):
@@ -1239,6 +1245,44 @@ class TestDescendedOperators:
                         assert got.shape == ref.shape
                         assert max_abs(got - ref) <= 1e-13 * max(1.0, max_abs(ref)), (
                             system.label, n, i)
+
+
+def inconsistent_braids(n_species: int, rng: np.random.Generator) -> list[StatisticsSystem]:
+    """The boson T with a random unitary B and with a random diagonal B.
+
+    Neither B is chosen to be consistent with T.  Each has ``N(N-1)/2``
+    random phases and the eigenvalue 1 elsewhere, so that ``id - B`` has the
+    rank of the boson one and the ideal is proper in the low sectors.
+    """
+    boson = make_preset("boson", n_species)
+    phases = np.ones(n_species**2, dtype=complex)
+    rank = n_species * (n_species - 1) // 2
+    phases[:rank] = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, rank))
+    v = haar_unitary(rng, n_species**2)
+    braids = {"unitary": v @ np.diag(phases) @ dagger(v),
+              "diagonal": np.diag(rng.permutation(phases))}
+    return [StatisticsSystem(cross=boson.cross, braid=BraidOperator(b), label=f"boson, {name} B")
+            for name, b in braids.items()]
+
+
+class TestCreationPreservesTheIdeal:
+    """``E (x) I_n`` lies in ``I_{n+1}`` for any B, which is why quotients check annihilation only."""
+
+    @pytest.mark.parametrize("n_species,max_degree", [(2, 5), (3, 4)])
+    def test_creation_residual_is_rounding(self, fresh_cache, n_species, max_degree):
+        rng = np.random.default_rng(59)
+        for base in braided_systems(n_species) + inconsistent_braids(n_species, rng):
+            for system in (base, haar_rotated(base, rng)):
+                proper = False  # some degree with a nonzero span and a nonzero complement above
+                for n in range(max_degree + 1):
+                    span_n, _ = fock._ideal_bases(system, n, EPS)
+                    _, q_up = fock._ideal_bases(system, n + 1, EPS)
+                    proper |= span_n.shape[1] > 0 and q_up.shape[1] > 0
+                    for i in range(1, n_species + 1):
+                        res = max_abs(dagger(q_up[creation_rows(system, i, n)]) @ span_n)
+                        assert res <= 1e-13, (system.label, n, i, res)
+                # the fermion quotient at N = 2 is zero from degree 3 on
+                assert proper or base.label == "fermion(N=2)", system.label
 
 
 class TestRepresentationContract:
