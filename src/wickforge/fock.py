@@ -15,7 +15,7 @@ vacuum is normalized to <0|0> = 1.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
@@ -109,16 +109,6 @@ def _scatter(shape: tuple[int, int], dtype, what: str, parts) -> np.ndarray:
 def _check_species(system: StatisticsSystem, i: int) -> None:
     if not 1 <= i <= system.dim:
         raise ValueError(f"species {i} out of range 1..{system.dim}")
-
-
-def word_index(word: Word, n_species: int) -> int:
-    """Offset of a word under the row-major flattening."""
-    idx = 0
-    for letter in word:
-        if not 1 <= letter <= n_species:
-            raise ValueError(f"letter {letter} out of range 1..{n_species}")
-        idx = idx * n_species + (letter - 1)
-    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,32 +248,22 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
 
     A sector of one block returns its cached slice.  The level of a sector
     of several blocks is checked against the entry cap, then scattered from
-    the slices (:func:`_letter_parts`) on each call, not cached.
+    the slices ``A_i[c - e_i, c]`` (:func:`word_blocks`) on each call, not cached.
     """
     _check_species(system, i)
     if n < 1:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
     n_sp = system.dim
     _sector_dim(n_sp, n)
-    if len(_content_heads(_labels(system), n)[2]) == 1:
-        return _annihilation_slices(system, n)[0][i - 1]
-    return _scatter((n_sp ** (n - 1), n_sp**n), _field(system), "annihilation level",
-                    _letter_parts(system, i - 1, n))
-
-
-def _letter_parts(system: StatisticsSystem, i0: int, n: int):
-    """``(rows, cols, A_i[c - e_i, c])`` for each word block c of sector n >= 1 holding letter i0 + 1.
-
-    ``cols`` are the word offsets of c and ``rows`` those of c - e_i in
-    sector n-1 (:func:`word_blocks`); the slices are built on the first step.
-    """
     labels = _labels(system)
     heads = _content_heads(labels, n)[1]
+    if len(heads) == 1:
+        return _annihilation_slices(system, n)[0][i - 1]
     below, words = _content_partition(labels, n - 1), _content_partition(labels, n)
-    slices = _annihilation_slices(system, n)
-    for b, runs in enumerate(heads):
-        if i0 in runs:
-            yield below[runs[i0][0]], words[b], slices[b][i0]
+    # Lazy, so that the slices are built only once the level passes the cap.
+    parts = ((below[runs[i - 1][0]], words[b], _annihilation_slices(system, n)[b][i - 1])
+             for b, runs in enumerate(heads) if i - 1 in runs)
+    return _scatter((n_sp ** (n - 1), n_sp**n), _field(system), "annihilation level", parts)
 
 
 def _walk_species(system: StatisticsSystem) -> tuple:
@@ -463,10 +443,16 @@ def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
 
 def quotient_gram(system: StatisticsSystem, n: int,
                   eps: float | None = None) -> GramMatrix:
-    """Gram matrix compressed to the quotient representatives of sector n."""
-    q = quotient_sector(system, n, eps=eps).quotient.complement_basis
-    mat = dagger(q) @ gram_matrix(system, n).mat @ q
-    return GramMatrix(n=n, words=(np.arange(q.shape[1]),), blocks=(mat,))
+    """Gram matrix compressed to the quotient representatives of sector n.
+
+    Block b is ``comp_b^* G'_b comp_b`` for the weight form's Gram matrix G'
+    (:func:`_ideal_split`), on the columns ``words[b]`` of ``comp_b`` in the
+    complement basis of :func:`quotient_sector`.
+    """
+    split = _ideal_split(system, n, resolve_eps(eps))
+    blocks = tuple(dagger(comp) @ block @ comp for (_, comp), block
+                   in zip(split, gram_matrix(_weight_form(system)[1], n).blocks))
+    return GramMatrix(n=n, words=_column_ranges(blocks), blocks=blocks)
 
 
 def _labels(system: StatisticsSystem) -> tuple[int, ...]:
@@ -566,15 +552,6 @@ def _content_partition(labels: tuple[int, ...], n: int) -> tuple[np.ndarray, ...
     return _cache_put(key, blocks)
 
 
-def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
-    """Word offsets of sector n grouped by letter content, ascending in each group.
-
-    Groups are ordered by their content, ascending as sorted-letter tuples;
-    together they partition ``range(n_species**n)``.
-    """
-    return _content_partition(tuple(range(n_species)), n)
-
-
 def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem]:
     """The weight basis W of the system and the system in it, graded if possible.
 
@@ -587,11 +564,13 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
     parts of the cut form are dropped (:func:`~wickforge.operators.real_part`)
     when all of them are rounding, so that its arithmetic is real
     (:func:`_field`).  A system without such a torus keeps ``W = 1`` and
-    itself, one block per sector.  Every basis-invariant verdict (Gram
-    spectra, ideal and quotient dimensions) can be taken on it.
+    itself, one block per sector.  Every basis-invariant verdict is taken on
+    the form: Gram spectra and all quotient verdicts (:func:`_ideal_split`).
+    Only the bases that the library returns are mapped back by ``W^(x)n``
+    (:func:`_standard_basis`).
     """
     if len(set(_labels(system))) == system.dim:
-        return eye(system.dim), system
+        return np.eye(system.dim), system
     key = ("weight", system.content_key)
     cached = _cache_get(key)
     if cached is None:
@@ -603,7 +582,7 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
             real, imag = real_part(graded)
             cached = _cache_put(key, (w, real if imag <= tol else graded))
         else:
-            cached = _cache_put(key, (eye(system.dim), None))
+            cached = _cache_put(key, (np.eye(system.dim), None))
     w, form = cached
     return w, system if form is None else form
 
@@ -622,7 +601,7 @@ def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
 
     Each block is given by its ascending word offsets.  When T is graded and
     B (if any) preserves letter content, every letter has its own label
-    (:func:`_labels`) and these are the :func:`content_blocks`: the Gram
+    (:func:`_labels`) and these group the words by letter content: the Gram
     matrix, the ideal slice and its complement are then block-diagonal over
     them.  Otherwise the sector is one block, ``arange(N^n)``.
     """
@@ -638,11 +617,11 @@ def sector_spectrum(
     """Ascending eigenvalues of the (possibly quotient) Gram matrix of sector n.
 
     The one decomposition of a sector, cached, from which every Gram verdict
-    is derived.  Each diagonal block of the Gram matrix (:func:`word_blocks`;
-    a quotient Gram is one block) is checked for Hermiticity at the tolerance
-    of the whole matrix, ``eps * max(1, max|G|)`` (raising
-    :class:`NotHermitian`), and diagonalized on its own; off-block entries
-    are zero by construction.  An entry that is not finite raises ValueError.
+    is derived.  Each diagonal block of the weight form's Gram matrix
+    (:func:`word_blocks`) or of :func:`quotient_gram` is checked for
+    Hermiticity at the tolerance of the whole matrix, ``eps * max(1, max|G|)``
+    (raising :class:`NotHermitian`), and diagonalized on its own; off-block
+    entries are zero by construction.  An entry that is not finite raises ValueError.
     """
     eps = resolve_eps(eps)
     _sector_dim(system.dim, n)
@@ -711,7 +690,7 @@ def _block_generators(
     columns: entry (u, w) is ``gen[pair(u), pair(w)]`` when the words u and w
     agree outside the letters p, p+1, and 0 otherwise.
     """
-    blocks = []
+    blocks = [np.zeros((offsets.size, 0), dtype=gen.dtype)]  # no generators below degree 2
     for p in range(1, n):
         low = n_sp ** (n - p - 1)
         pair = offsets // low % (n_sp * n_sp)
@@ -720,67 +699,63 @@ def _block_generators(
     return np.hstack(blocks)
 
 
-def _scatter_rows(dim: int, words, parts) -> np.ndarray:
-    """The parts side by side, each with its rows placed on its word block, in their dtype."""
-    out = np.zeros((dim, sum(part.shape[1] for part in parts)), dtype=np.result_type(*parts))
-    col = 0
-    for rows, part in zip(words, parts):
-        out[rows, col:col + part.shape[1]] = part
-        col += part.shape[1]
-    return out
+def _ideal_split(system: StatisticsSystem, n: int, eps: float) -> tuple:
+    """Orthonormal ``(span_b, comp_b)`` of the ideal slice and its complement per weight-form block b.
 
-
-def _ideal_split(system: StatisticsSystem, n: int, eps: float) -> tuple[np.ndarray, int]:
-    """An orthonormal basis of sector n whose first k columns span the degree-n ideal slice, and k.
-
-    The other columns span its complement.  The generators are the columns
-    of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)`` over the insertion positions
-    p.  They are formed in the weight basis (:func:`_weight_form`), in its
-    field (:func:`_field`), where each one stays inside the word block of its
-    column (:func:`word_blocks`), so the span and the complement are taken
-    block by block, each with the rank cutoff ``eps * max(1, sigma_max)`` of
-    its own block.  The span blocks, then the complement blocks, each in
-    word-block order, are scattered into one array of sector-n rows and
-    mapped to the standard basis by ``W^(x)n``.
+    The generators are the columns of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)``
+    over the insertion positions p.  They are formed in the weight basis
+    (:func:`_weight_form`), in its field (:func:`_field`), where each one stays
+    inside the word block of its column (:func:`word_blocks`), so the span and
+    the complement are taken block by block
+    (:func:`~wickforge.linalg.span_and_complement`), each with the rank cutoff
+    ``eps * max(1, sigma_max)`` of its own block and the words of the block
+    as rows.  Cached for the weight form, which a system shares with its
+    rotated twins.
     """
     if system.braid is None:
         raise NoBraid("no braid operator: the free algebra has no quotient")
     n_sp = system.dim
-    dim = _sector_dim(n_sp, n)
-    key = ("ideal", system.content_key, n, eps)
+    _sector_dim(n_sp, n)
+    form = _weight_form(system)[1]
+    key = ("ideal", form.content_key, n, eps)
     cached = _cache_get(key)
     if cached is not None:
         return cached
-    if n < 2:
-        basis, k = np.eye(dim, dtype=_field(system)), 0
-    else:
-        w, form = _weight_form(system)
-        braid = form.braid.mat
-        gen = np.eye(n_sp * n_sp) - (braid.real if _field(form) is float else braid)
-        words = word_blocks(form, n)
-        largest = max(block.size for block in words)
-        _check_entries(largest, (n - 1) * largest, "ideal generator stack")
-        _check_entries(dim, dim, "ideal span and complement")
-        bases = [span_and_complement(_block_generators(gen, block, n_sp, n), block.size, eps)
-                 for block in words]
-        k = sum(span_b.shape[1] for span_b, _ in bases)
-        basis = _scatter_rows(dim, words + words, [span_b for span_b, _ in bases]
-                              + [comp_b for _, comp_b in bases])
-        if form is not system:
-            basis = _apply_tensor_power(w, basis, n)
-    basis.setflags(write=False)
-    return _cache_put(key, (basis, k))
+    braid = form.braid.mat
+    gen = np.eye(n_sp * n_sp) - (braid.real if _field(form) is float else braid)
+    words = word_blocks(form, n)
+    largest = max(block.size for block in words)
+    _check_entries(largest, (n - 1) * largest, "ideal generator stack")
+    split = tuple(span_and_complement(_block_generators(gen, block, n_sp, n), block.size, eps)
+                  for block in words)
+    for basis in (basis for pair in split for basis in pair):
+        basis.setflags(write=False)
+    return _cache_put(key, split)
 
 
-def _ideal_bases(
-    system: StatisticsSystem, n: int, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the ideal slice of sector n and its complement (:func:`_ideal_split`).
+def _column_ranges(parts) -> tuple[np.ndarray, ...]:
+    """The column offsets of each part when the parts stand side by side."""
+    edges = np.cumsum([0] + [part.shape[1] for part in parts])
+    return tuple(np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
-    Both are column views of the one cached basis.
+
+def _standard_basis(system: StatisticsSystem, n: int, eps: float, half: int) -> np.ndarray:
+    """The ideal slice (``half`` 0) or its complement (1) of sector n in the standard basis.
+
+    The blocks of :func:`_ideal_split` stand side by side, each on the rows
+    of its words, mapped by ``W^(x)n`` (:func:`_weight_form`).
     """
-    basis, k = _ideal_split(system, n, eps)
-    return basis[:, :k], basis[:, k:]
+    parts = [pair[half] for pair in _ideal_split(system, n, eps)]
+    w, form = _weight_form(system)
+    cols = _column_ranges(parts)
+    basis = _scatter((_sector_dim(system.dim, n), sum(col.size for col in cols)), parts[0].dtype,
+                     ("ideal basis", "quotient complement basis")[half],
+                     zip(word_blocks(form, n), cols, parts))
+    if form is system:
+        return basis
+    basis = _apply_tensor_power(w, basis, n)
+    basis.setflags(write=False)
+    return basis
 
 
 def ideal_subspace(
@@ -791,45 +766,51 @@ def ideal_subspace(
     Spanned by the images of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)`` over all
     insertion positions p; empty below degree 2.
     """
-    span, _ = _ideal_bases(system, n, resolve_eps(eps))
-    return span
+    return _standard_basis(system, n, resolve_eps(eps), 0)
 
 
 def quotient_sector(
     system: StatisticsSystem, n: int, eps: float | None = None
 ) -> FockSector:
     """Sector with quotient representatives (complement of the ideal) attached."""
-    eps = resolve_eps(eps)
     sector = sector_basis(system.dim, n)
-    _, comp = _ideal_bases(system, n, eps)
-    return FockSector(
-        n=sector.n,
-        dim_full=sector.dim_full,
-        basis=sector.basis,
-        quotient=QuotientData(complement_basis=comp),
-    )
+    return replace(sector, quotient=QuotientData(_standard_basis(system, n, resolve_eps(eps), 1)))
 
 
 def _descended_annihilation(system: StatisticsSystem, i: int, n: int, eps: float) -> np.ndarray:
     """``Q_{n-1}^* A_i Q_n`` on quotient sectors, once ``A_i`` is checked to preserve the ideal.
 
     Raises :class:`NotWellDefined` unless ``Q_{n-1}^* A_i`` vanishes on the
-    degree-n ideal slice.  Reads the bases of sectors n and n-1 only, n first,
-    and forms ``A_i`` block by block from the slices (:func:`_letter_parts`).
+    degree-n ideal slice.  Rows and columns follow :func:`quotient_sector`.
+    In the weight form ``A_i = sum_p W[i, p] A'_p``, and the block pair
+    ``(b - e_p, b)`` gets ``W[i, p] comp_{b-e_p}^* A'_p[b - e_p, b] [span_b |
+    comp_b]`` (:func:`_ideal_split`) from its one letter p (a one-block form
+    has ``W = 1``), so the residual ``max|Q_{n-1}^* A_i span_n|`` is ``max_p
+    |W[i, p]| max|R'_p|`` over the span parts.  Reads the bases of sectors n
+    and n-1 only, n first.
     """
-    basis_n, k = _ideal_split(system, n, eps)
+    split = _ideal_split(system, n, eps)
     if n == 0:  # the vacuum is killed
-        return np.zeros((0, basis_n.shape[1] - k), dtype=basis_n.dtype)
-    _, q_down = _ideal_bases(system, n - 1, eps)
-    image = np.zeros((q_down.shape[0], basis_n.shape[1]),
-                     dtype=np.result_type(_field(system), basis_n))
-    for rows, words, part in _letter_parts(system, i - 1, n):
-        image[rows] = part @ basis_n[words]
-    res = max_abs(dagger(q_down) @ image[:, :k])  # 0 for an empty span
+        return np.zeros((0, split[0][1].shape[1]), dtype=split[0][1].dtype)
+    below = _ideal_split(system, n - 1, eps)
+    w, form = _weight_form(system)
+    slices = _annihilation_slices(form, n)
+    rows, spans, cols = (np.cumsum([0] + [pair[half].shape[1] for pair in bases]).tolist()
+                         for bases, half in ((below, 1), (split, 0), (split, 1)))
+    image = np.zeros((rows[-1], spans[-1]), dtype=np.result_type(split[0][1], w))  # on I_n
+    out = np.zeros((rows[-1], cols[-1]), dtype=image.dtype)
+    weights = w[i - 1].tolist()
+    for b, ((span_b, comp_b), runs) in enumerate(zip(split, _content_heads(_labels(form), n)[1])):
+        for p, (c, _, _) in runs.items():
+            if weights[p]:
+                down = weights[p] * (dagger(below[c][1]) @ slices[b][p])
+                image[rows[c]:rows[c + 1], spans[b]:spans[b + 1]] += down @ span_b
+                out[rows[c]:rows[c + 1], cols[b]:cols[b + 1]] += down @ comp_b
+    res = max_abs(image)  # 0 for an empty span
     if not res <= eps:  # a NaN residual fails too
         raise NotWellDefined(f"annihilation does not preserve the ideal at degree {n} (residual "
                              f"{res:.3e}); (T, B) violate the consistency laws")
-    return dagger(q_down) @ image[:, k:]
+    return out
 
 
 def descended_operators(
@@ -850,9 +831,9 @@ def descended_operators(
     _check_species(system, i)
     # The larger sector first, so that an oversized one is refused before
     # the smaller ones are built.
-    _, q_up = _ideal_bases(system, n + 1, eps)
+    q_up = _standard_basis(system, n + 1, eps, 1)
     annihilation = _descended_annihilation(system, i, n, eps)
-    _, q_n = _ideal_bases(system, n, eps)
+    q_n = _standard_basis(system, n, eps, 1)
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).
     return dagger(q_up[creation_rows(system, i, n)]) @ q_n, annihilation

@@ -58,11 +58,6 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is ``a[i, j] * b``."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; the transpose of a ``float64`` input, which stays real."""
     return _in_field(a).conj().T

@@ -43,15 +43,6 @@ def check_operator_dim(dim: int) -> None:
         )
 
 
-def flip_matrix(n: int) -> np.ndarray:
-    """The transposition on a two-fold tensor power: x^i (x) x^j -> x^j (x) x^i."""
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[j * n + i, i * n + j] = 1.0
-    return m
-
-
 def _check_square_pair(mat: np.ndarray, what: str) -> int:
     rows, cols = mat.shape
     if rows != cols:

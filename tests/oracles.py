@@ -1,9 +1,10 @@
-"""Independent oracles used to fix expected values.
+"""Independent oracles and small builders used to fix inputs and expected values.
 
 Everything here is deliberately brute force and shares no code path with the
-package: index-loop Kronecker products, permutation sums for Gram entries,
-the textbook q-factorial, normal ordering summed over rewrite paths, and
-annihilation applied word by word.
+package: the flip matrix, Kronecker products (by numpy and by index loops),
+word offsets and letter-content groups by enumeration, permutation sums for
+Gram entries, the textbook q-factorial, normal ordering summed over rewrite
+paths, and annihilation applied word by word.
 """
 
 from __future__ import annotations
@@ -11,6 +12,43 @@ from __future__ import annotations
 from itertools import permutations, product
 
 import numpy as np
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product in complex128; block (i, j) of the result is ``a[i, j] * b``."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def flip_matrix(n: int) -> np.ndarray:
+    """The transposition on a two-fold tensor power: x^i (x) x^j -> x^j (x) x^i."""
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            m[j * n + i, i * n + j] = 1.0
+    return m
+
+
+def word_index(word: tuple[int, ...], n_species: int) -> int:
+    """Offset of a word under the row-major flattening."""
+    idx = 0
+    for letter in word:
+        if not 1 <= letter <= n_species:
+            raise ValueError(f"letter {letter} out of range 1..{n_species}")
+        idx = idx * n_species + (letter - 1)
+    return idx
+
+
+def content_blocks(n_species: int, n: int) -> tuple[np.ndarray, ...]:
+    """Word offsets of sector n grouped by letter content, ascending in each group.
+
+    Groups are ordered by their content, ascending as sorted-letter tuples;
+    together they partition ``range(n_species**n)``.  Built by enumerating
+    the words.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for offset, word in enumerate(product(range(1, n_species + 1), repeat=n)):
+        groups.setdefault(tuple(sorted(word)), []).append(offset)
+    return tuple(np.array(groups[key], dtype=np.intp) for key in sorted(groups))
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

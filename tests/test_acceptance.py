@@ -37,7 +37,6 @@ from wickforge.operators import (
     check_yang_baxter,
     build_ttilde,
     dump_system,
-    flip_matrix,
 )
 from wickforge.wick import (
     Generator,
@@ -49,7 +48,7 @@ from wickforge.wick import (
 )
 
 from conftest import acceptance_systems
-from oracles import perm_gram, q_factorial
+from oracles import flip_matrix, perm_gram, q_factorial
 
 TOL = 1e-9
 

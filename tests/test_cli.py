@@ -5,11 +5,12 @@ import pytest
 
 from wickforge import fock
 from wickforge.cli import main
-from wickforge.operators import dump_system, system_to_dict
+from wickforge.operators import dump_system, load_system, system_to_dict
 from wickforge.catalog import make_preset
-from wickforge.operators import BraidOperator, CrossOperator, StatisticsSystem, flip_matrix
+from wickforge.operators import BraidOperator, CrossOperator, StatisticsSystem
 
 from conftest import haar_rotated
+from oracles import flip_matrix
 
 
 @pytest.fixture
@@ -145,7 +146,7 @@ class TestExitCodes:
     def test_quotient_builds_no_sector_above_the_top(self, capsys, monkeypatch):
         # Creation maps the ideal into the ideal for every (T, B), so only
         # annihilation is checked and sector 9, over the lowered entry cap
-        # (512 x 512 span and complement), is never built.
+        # (126 x 1008 generator stack), is never built.
         degrees = []
         real = fock._ideal_split
 
@@ -321,6 +322,25 @@ class TestCommands:
         code, out, _ = run(capsys, ["catalog", "--preset", "fermion", "--dim", "2"])
         assert code == 0
         assert json.loads(out)["dim"] == 2
+
+    def test_rotated_quotient_reads_only_the_weight_form(self, capsys, tmp_path, fresh_cache):
+        # A Haar-rotated phase system is graded only in its weight basis (W != 1).
+        # Its quotient verdicts read the slices and Gram blocks of that form,
+        # not the one-block slices and Grams of the system as given.
+        rng = np.random.default_rng(83)
+        angles = np.triu(rng.uniform(0.3, 2.8, (3, 3)), 1)
+        path = tmp_path / "phase.json"
+        path.write_text(dump_system(haar_rotated(make_preset("phase", 3, phi=angles - angles.T),
+                                                 rng)))
+        assert run(capsys, ["quotient", "--file", str(path), "--max-sector", "4"])[0] == 0
+        assert run(capsys, ["gram", "--file", str(path), "--sector", "5", "--quotient"])[0] == 0
+        system = load_system(str(path))
+        form = fock._weight_form(system)[1]
+        assert form is not system
+        assert not {key[0] for key in fock._CACHE if key[1] == system.content_key} & {
+            "annihilation", "gram"}
+        assert {key[0] for key in fock._CACHE if key[1] == form.content_key} >= {
+            "annihilation", "gram", "ideal"}
 
     def test_phase_preset_via_phi_flag(self, capsys):
         code, _, _ = run(capsys, ["validate", "--preset", "phase", "--dim", "2",

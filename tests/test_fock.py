@@ -11,7 +11,6 @@ from wickforge.errors import NoBraid, NotHermitian, NotWellDefined, SizeLimit
 from wickforge.fock import (
     GramMatrix,
     annihilation_matrix,
-    content_blocks,
     creation_matrix,
     creation_rows,
     descended_operators,
@@ -25,7 +24,6 @@ from wickforge.fock import (
     sector_report,
     sector_spectrum,
     word_blocks,
-    word_index,
 )
 from wickforge.linalg import dagger, kernel_basis, max_abs
 from wickforge.operators import (
@@ -35,7 +33,6 @@ from wickforge.operators import (
     StatisticsSystem,
     check_star,
     dump_system,
-    flip_matrix,
     is_graded,
     load_system,
     preserves_content,
@@ -44,7 +41,10 @@ from wickforge.operators import (
 from conftest import (
     acceptance_systems, haar_rotated, haar_unitary, multi_q, phase_phi, twisted_ccr,
 )
-from oracles import annihilate_word, perm_gram, perm_gram_entry, q_factorial
+from oracles import (
+    annihilate_word, content_blocks, flip_matrix, perm_gram, perm_gram_entry, q_factorial,
+    word_index,
+)
 
 EPS = 1e-9
 
@@ -202,13 +202,14 @@ class TestEntryCap:
         assert annihilation_matrix(phase3, 1, 4).shape == (27, 81)
 
     def test_cap_is_inclusive_and_checked_before_the_build(self, fresh_cache, monkeypatch):
-        # sector 6 of N = 2: a 64 x 64 span and complement
+        # sector 6 of N = 2: the largest word block has C(6, 3) = 20 words and
+        # five insertion positions, so a 20 x 100 generator stack
         fermion = make_preset("fermion", 2)
-        monkeypatch.setattr(fock, "ENTRY_CAP", 64 * 64 - 1)
-        with pytest.raises(SizeLimit, match="ideal span and complement of 64 x 64"):
+        monkeypatch.setattr(fock, "ENTRY_CAP", 20 * 100 - 1)
+        with pytest.raises(SizeLimit, match="ideal generator stack of 20 x 100"):
             quotient_sector(fermion, 6)
         assert not any(key[0] == "ideal" for key in fock._CACHE)
-        monkeypatch.setattr(fock, "ENTRY_CAP", 64 * 64)
+        monkeypatch.setattr(fock, "ENTRY_CAP", 20 * 100)
         assert quotient_sector(fermion, 6).quotient.dim == 0
 
 
@@ -593,6 +594,11 @@ def dense_complement_projector(system: StatisticsSystem, degree: int) -> np.ndar
     return u[:, rank:] @ dagger(u[:, rank:])
 
 
+def same_blocks(got, want) -> bool:
+    """The same word blocks in the same order, each with the same offsets."""
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def assert_labelled_tables(labels: tuple, n: int) -> None:
     """The word blocks of sector n under ``labels`` against the words themselves.
 
@@ -648,7 +654,7 @@ class TestLabels:
         # content_blocks itself is checked against the words in TestGrading
         labels = tuple(range(n_species))
         for n in range(max_degree + 1):
-            assert fock._content_partition(labels, n) is content_blocks(n_species, n)
+            assert same_blocks(fock._content_partition(labels, n), content_blocks(n_species, n))
             assert_labelled_tables(labels, n)
 
     @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1, 0), (1, 0)])
@@ -735,7 +741,7 @@ class TestBlockwiseAssembly:
         for degree in range(5):
             (words,) = word_blocks(mixed, degree)
             assert np.array_equal(words, np.arange(2**degree))
-            assert word_blocks(boson, degree) is content_blocks(2, degree)
+            assert same_blocks(word_blocks(boson, degree), content_blocks(2, degree))
             assert max_abs(gram_matrix(mixed, degree).mat
                            - gram_matrix(boson, degree).mat) <= 1e-12 * 4**degree
             comp = quotient_sector(mixed, degree).quotient.complement_basis
@@ -995,8 +1001,8 @@ class TestRealArithmetic:
             svd_inputs.clear()
             quotient_sector(system, degree)
             assert svd_inputs and set(svd_inputs) == {np.dtype(float)}, system.label
-            basis, _ = fock._ideal_split(form, degree, EPS)
-            assert basis.dtype == float, system.label
+            assert {basis.dtype for pair in fock._ideal_split(form, degree, EPS)
+                    for basis in pair} == {np.dtype(float)}, system.label
 
     def test_complex_forms_stay_complex(self, fresh_cache, tmp_path):
         path = tmp_path / "complex.json"
@@ -1011,7 +1017,8 @@ class TestRealArithmetic:
             sector_spectrum(system, 3)
             assert built_dtypes(form, 3) == {np.dtype(complex)}, system.label
             if system.braid is not None:
-                assert fock._ideal_split(form, 3, EPS)[0].dtype == complex
+                assert {basis.dtype for pair in fock._ideal_split(form, 3, EPS)
+                        for basis in pair} == {np.dtype(complex)}
         # below the rounding cut the weight form drops the imaginary part
         below = haar_rotated(hermitian_q(ROUNDING / 4), rng)
         form = fock._weight_form(below)[1]
@@ -1222,8 +1229,16 @@ class TestDescendedOperators:
         def refuse(*args):
             raise AssertionError("an annihilation level was built")
 
+        real_scatter = fock._scatter
+
+        def scatter(shape, dtype, what, parts):
+            # the returned quotient bases are scattered too; a level is not
+            if what == "annihilation level":
+                refuse()
+            return real_scatter(shape, dtype, what, parts)
+
         monkeypatch.setattr(fock, "annihilation_matrix", refuse)
-        monkeypatch.setattr(fock, "_scatter", refuse)
+        monkeypatch.setattr(fock, "_scatter", scatter)
         rng = np.random.default_rng(51)
         for base in braided_systems(n_species):
             for system in (base, haar_rotated(base, rng)):
@@ -1237,7 +1252,7 @@ class TestDescendedOperators:
         for base in braided_systems(n_species):
             for system in (base, haar_rotated(base, rng)):
                 for n in range(1, 5):
-                    _, q_down = fock._ideal_bases(system, n - 1, EPS)
+                    q_down = quotient_sector(system, n - 1).quotient.complement_basis
                     q_n = quotient_sector(system, n).quotient.complement_basis
                     for i in range(1, n_species + 1):
                         ref = dagger(q_down) @ annihilation_matrix(system, i, n) @ q_n
@@ -1275,8 +1290,8 @@ class TestCreationPreservesTheIdeal:
             for system in (base, haar_rotated(base, rng)):
                 proper = False  # some degree with a nonzero span and a nonzero complement above
                 for n in range(max_degree + 1):
-                    span_n, _ = fock._ideal_bases(system, n, EPS)
-                    _, q_up = fock._ideal_bases(system, n + 1, EPS)
+                    span_n = ideal_subspace(system, n)
+                    q_up = quotient_sector(system, n + 1).quotient.complement_basis
                     proper |= span_n.shape[1] > 0 and q_up.shape[1] > 0
                     for i in range(1, n_species + 1):
                         res = max_abs(dagger(q_up[creation_rows(system, i, n)]) @ span_n)
@@ -1309,6 +1324,43 @@ class TestRepresentationContract:
                     c_i, _ = descended_operators(system, i, degree)
                     _, a_i = descended_operators(system, i, degree + 1)
                     assert max_abs(dagger(c_i) @ gram_up - gram_dn @ a_i) <= EPS
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_rotated_phase_quotient_sectors(self, fresh_cache, n_species):
+        # The one braided fixture with W != 1: boson and fermion are
+        # U(N)-invariant, so they keep W = 1 when rotated.
+        rng = np.random.default_rng(79)
+        angles = np.triu(rng.uniform(0.3, 2.8, (n_species, n_species)), 1)
+        system = haar_rotated(make_preset("phase", n_species, phi=angles - angles.T), rng)
+        w, form = fock._weight_form(system)
+        assert form is not system and max_abs(np.abs(w) - np.eye(n_species)) > 0.1
+        t4 = system.cross.tensor()
+        grams = []
+        for degree in range(4):
+            # the dense route of the given system, kept as the oracle
+            q = quotient_sector(system, degree).quotient.complement_basis
+            want = dagger(q) @ gram_matrix(system, degree).mat @ q
+            grams.append(quotient_gram(system, degree).mat)
+            assert max_abs(grams[-1] - want) <= 1e-13 * max(1.0, max_abs(want)), degree
+        for degree in range(3):
+            ops = [descended_operators(system, i, degree) for i in range(1, n_species + 1)]
+            ups = [descended_operators(system, i, degree + 1) for i in range(1, n_species + 1)]
+            downs = ([descended_operators(system, i, degree - 1) for i in range(1, n_species + 1)]
+                     if degree else None)
+            scale = max(1.0, max_abs(grams[degree + 1]))
+            for i in range(n_species):
+                # adjointness: dagger(C^Q_i) G^Q_{n+1} = G^Q_n A^Q_i
+                lhs = dagger(ops[i][0]) @ grams[degree + 1]
+                assert max_abs(lhs - grams[degree] @ ups[i][1]) <= EPS * scale, (degree, i)
+                for j in range(n_species):
+                    # A^Q_i C^Q_j - sum_{k,l} T^{ij}_{kl} C^Q_k A^Q_l = delta_ij
+                    lhs = ups[i][1] @ ops[j][0]
+                    for k in range(n_species):
+                        for l in range(n_species):
+                            if degree and t4[k, l, i, j] != 0:
+                                lhs = lhs - t4[k, l, i, j] * (downs[k][0] @ ops[l][1])
+                    expected = np.eye(lhs.shape[0]) if i == j else 0
+                    assert max_abs(lhs - expected) <= EPS, (degree, i, j)
 
     @pytest.mark.parametrize("n_species", [1, 2])
     def test_commutation_identity_full_sectors(self, n_species):

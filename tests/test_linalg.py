@@ -6,13 +6,11 @@ from wickforge.linalg import (
     dagger,
     hermitian_spectrum,
     kernel_basis,
-    kron,
     operator_norm,
     span_and_complement,
 )
-from wickforge.operators import flip_matrix
 
-from oracles import kron_oracle
+from oracles import flip_matrix, kron, kron_oracle
 
 EPS = 1e-9
 

@@ -21,7 +21,6 @@ from wickforge.operators import (
     check_star,
     check_yang_baxter,
     dump_system,
-    flip_matrix,
     graded_part,
     is_graded,
     load_system,
@@ -34,7 +33,7 @@ from wickforge.operators import (
 )
 
 from conftest import haar_rotated, haar_unitary, multi_q, twisted_ccr
-from oracles import kron_oracle, ttilde_inverse_oracle, ttilde_oracle
+from oracles import flip_matrix, kron_oracle, ttilde_inverse_oracle, ttilde_oracle
 
 EPS = 1e-9
 

@@ -24,7 +24,7 @@ from wickforge.wick import (
 )
 
 from conftest import acceptance_systems, haar_rotated, phase_phi, twisted_ccr
-from oracles import kron_oracle, path_sum_normal_order
+from oracles import content_blocks, kron_oracle, path_sum_normal_order
 
 EPS = 1e-9
 
@@ -565,7 +565,7 @@ class TestEvaluationPieces:
                 evaluation_blocks(expr, system, n)
                 evaluation_blocks(normal_order(expr, system), system, n)
             sets = {key[2]: value for key, value in fock._CACHE.items() if key[0] == "annihilation"}
-            assert sets and all(len(value) == len(fock.content_blocks(system.dim, m))
+            assert sets and all(len(value) == len(content_blocks(system.dim, m))
                                 for m, value in sets.items())
 
     def test_one_block_is_the_dense_matrix(self):
