@@ -27,8 +27,8 @@ from .errors import (
 )
 from .fock import (
     _descended_annihilation,
+    _ideal_split,
     p2_kernel,
-    quotient_sector,
     sector_report,
     sector_spectrum,
 )
@@ -168,7 +168,7 @@ def _cmd_quotient(args) -> int:
         sectors.append({
             "sector": n,
             "dim": system.dim**n,
-            "quotient_dim": quotient_sector(system, n, eps).quotient.dim,
+            "quotient_dim": sum(comp.shape[1] for _, comp in _ideal_split(system, n, eps)),
             "well_defined": well,
             "detail": detail,
         })

@@ -845,16 +845,17 @@ def sector_report(
     quotient: bool = False,
     eps: float | None = None,
 ) -> dict:
-    """JSON-ready summary of one sector, as consumed by the CLI."""
+    """JSON-ready summary of one sector, as consumed by the CLI.
+
+    With ``quotient``, ``quotient_dim`` is the length of the quotient spectrum
+    (:func:`sector_spectrum`), one eigenvalue per complement column.
+    """
     eps = resolve_eps(eps)
     report = positivity_report(system, n, eps=eps, quotient=quotient)
-    qdim = None
-    if quotient:
-        qdim = quotient_sector(system, n, eps=eps).quotient.dim
     return {
         "sector": n,
         "dim": _sector_dim(system.dim, n),
-        "quotient_dim": qdim,
+        "quotient_dim": sector_spectrum(system, n, eps, quotient=True).size if quotient else None,
         "min_eig": report.min_eig,
         "kernel_dim": report.kernel_dim,
         "checks": {

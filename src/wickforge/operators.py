@@ -55,55 +55,43 @@ def _check_square_pair(mat: np.ndarray, what: str) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class CrossOperator:
+class _PairOperator:
+    """A 4-index tensor on E (x) E, held as its N^2 x N^2 matrix; ``_name`` names it in errors."""
+
+    mat: np.ndarray
+    _name = ""
+
+    def __post_init__(self):
+        m = as_matrix(np.asarray(self.mat, dtype=complex))
+        _check_square_pair(m, f"{self._name} operator")
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)
+
+    @property
+    def dim(self) -> int:
+        return round(self.mat.shape[0] ** 0.5)
+
+    def tensor(self) -> np.ndarray:
+        """4-d view ``t[k-1, l-1, i-1, j-1] = T^{ij}_{kl}`` (``B^{ij}_{kl}`` for a braid)."""
+        n = self.dim
+        return self.mat.reshape(n, n, n, n)
+
+    @classmethod
+    def from_entries(cls, dim: int, entries):
+        """Build from sparse ``(i, j, k, l, value)`` tuples, 1-based indices."""
+        return cls(_mat_from_entries(dim, entries, cls._name))
+
+
+class CrossOperator(_PairOperator):
     """The 4-index tensor ``T^{ij}_{kl}`` defining cross statistics."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(np.asarray(self.mat, dtype=complex))
-        _check_square_pair(m, "cross operator")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return round(self.mat.shape[0] ** 0.5)
-
-    def tensor(self) -> np.ndarray:
-        """4-d view ``t[k-1, l-1, i-1, j-1] = T^{ij}_{kl}``."""
-        n = self.dim
-        return self.mat.reshape(n, n, n, n)
-
-    @classmethod
-    def from_entries(cls, dim: int, entries) -> "CrossOperator":
-        """Build from sparse ``(i, j, k, l, value)`` tuples, 1-based indices."""
-        return cls(_mat_from_entries(dim, entries, "cross"))
+    _name = "cross"
 
 
-@dataclass(frozen=True, eq=False)
-class BraidOperator:
+class BraidOperator(_PairOperator):
     """The 4-index tensor ``B^{ij}_{kl}`` for exchange statistics, acting on E (x) E."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(np.asarray(self.mat, dtype=complex))
-        _check_square_pair(m, "braid operator")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return round(self.mat.shape[0] ** 0.5)
-
-    def tensor(self) -> np.ndarray:
-        n = self.dim
-        return self.mat.reshape(n, n, n, n)
-
-    @classmethod
-    def from_entries(cls, dim: int, entries) -> "BraidOperator":
-        return cls(_mat_from_entries(dim, entries, "braid"))
+    _name = "braid"
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,6 +37,16 @@ def huge_boson_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def identity_braid_file(tmp_path):
+    """The boson T at N = 3 with B = id: a zero ideal, so sector n keeps all 3^n words."""
+    system = StatisticsSystem(cross=make_preset("boson", 3).cross,
+                              braid=BraidOperator(np.eye(9)), label="boson T, B = id")
+    path = tmp_path / "identity-braid.json"
+    path.write_text(dump_system(system))
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -341,6 +351,47 @@ class TestCommands:
             "annihilation", "gram"}
         assert {key[0] for key in fock._CACHE if key[1] == form.content_key} >= {
             "annihilation", "gram", "ideal"}
+
+    def test_zero_ideal_quotient_runs_under_the_entry_cap(self, capsys, monkeypatch,
+                                                         identity_braid_file, fresh_cache):
+        # Sector 4's complement is all 81 words: as one 81 x 81 standard-basis
+        # array it would exceed the lowered cap, but the verdicts read only the
+        # per-block ideal split.
+        monkeypatch.setattr(fock, "ENTRY_CAP", 4096)
+        code, out, err = run(capsys, ["quotient", "--file", identity_braid_file,
+                                      "--max-sector", "4", "--json"])
+        assert code == 0, err
+        assert [row["quotient_dim"] for row in json.loads(out)["sectors"]] == [
+            3**n for n in range(5)]
+        code, out, err = run(capsys, ["gram", "--file", identity_braid_file, "--sector", "4",
+                                      "--quotient", "--json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["quotient_dim"], payload["kernel_dim"]) == (81, 66)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graded", "rotated"])
+    def test_quotient_verdicts_build_no_standard_basis(self, capsys, monkeypatch, tmp_path,
+                                                       fresh_cache, rotated):
+        rng = np.random.default_rng(89)
+        angles = np.triu(rng.uniform(0.3, 2.8, (3, 3)), 1)
+        system = make_preset("phase", 3, phi=angles - angles.T)
+        if rotated:  # graded only in its weight basis, W != 1
+            system = haar_rotated(system, rng)
+        path = tmp_path / "phase.json"
+        path.write_text(dump_system(system))
+        argvs = [[*command, "--file", str(path), *flags]
+                 for command in (["quotient", "--max-sector", "4"],
+                                 ["gram", "--sector", "4", "--quotient"])
+                 for flags in ([], ["--json"])]
+        expected = [run(capsys, argv) for argv in argvs]
+        assert [code for code, _, _ in expected] == [0] * 4
+        fock.clear_cache()
+
+        def refuse(*args):
+            raise AssertionError("a quotient verdict built a standard basis")
+
+        monkeypatch.setattr(fock, "_standard_basis", refuse)
+        assert [run(capsys, argv) for argv in argvs] == expected
 
     def test_phase_preset_via_phi_flag(self, capsys):
         code, _, _ = run(capsys, ["validate", "--preset", "phase", "--dim", "2",

@@ -1457,6 +1457,19 @@ class TestReportsAndCaching:
             "gram_hermitian", "positive_semidefinite", "positive_definite"
         }
 
+    @pytest.mark.parametrize("n_species", [2, 3])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["graded", "rotated"])
+    @pytest.mark.parametrize("name", ["boson", "fermion", "phase"])
+    def test_quotient_dim_is_the_complement_width(self, fresh_cache, name, n_species, rotated):
+        # The report counts the quotient spectrum; the library's complement
+        # basis, built in the standard basis, must have as many columns.
+        system = make_preset(name, n_species, phi=0.7 if name == "phase" else None)
+        if rotated:
+            system = haar_rotated(system, np.random.default_rng(61 + n_species))
+        for n in range(5):
+            report = sector_report(system, n, quotient=True, eps=EPS)
+            assert report["quotient_dim"] == quotient_sector(system, n, EPS).quotient.dim
+
     def test_gram_cache_returns_same_array(self, fresh_cache, boson2):
         first = gram_matrix(boson2, 3).mat
         second = gram_matrix(boson2, 3).mat

@@ -493,3 +493,17 @@ def test_non_finite_entries_rejected():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         CrossOperator(bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CrossOperator(np.zeros((4, 5))),
+     "cross operator matrix must be square, got shape (4, 5)"),
+    (lambda: BraidOperator(np.zeros((3, 3))),
+     "braid operator matrix must be N^2 x N^2, got 3 rows"),
+    (lambda: BraidOperator.from_entries(2, [(1, 1, 1, 1, 1.0)] * 2),
+     "duplicate braid entry for indices (1, 1, 1, 1)"),
+], ids=["cross-not-square", "braid-not-n-squared", "braid-duplicate-entry"])
+def test_constructor_messages_name_the_operator(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
