@@ -287,10 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args writes only the Namespace it returns,
+# and help and usage text are formatted when printed.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -625,7 +625,12 @@ def system_from_dict(data: dict) -> StatisticsSystem:
 
 def load_system(path) -> StatisticsSystem:
     with open(path, encoding="utf-8") as fh:
-        return system_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(
+                "malformed operator file: JSON nesting too deep to parse") from None
+    return system_from_dict(data)
 
 
 def dump_system(system: StatisticsSystem) -> str:

@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wickforge import fock
+from wickforge import cli, fock
 from wickforge.cli import main
 from wickforge.operators import dump_system, load_system, system_to_dict
 from wickforge.catalog import make_preset
@@ -283,6 +285,19 @@ class TestCommands:
         assert payload["spectrum"] == [2.625]
         assert payload["checks"]["positive_definite"] is True
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: kernel_dim counts eigenvalues below eps * max|lambda|, "
+        "so a PD Gram with condition number above 1/eps reports a kernel"))
+    def test_gram_quon_near_one_is_positive_definite(self, capsys):
+        # Bozejko-Speicher (Math. Ann. 300 (1994)): the quon Gram is strictly
+        # positive for |q| < 1.  Today: kernel_dim 4 with min_eig 7.7e-06 > 0.
+        code, out, _ = run(capsys, ["gram", "--preset", "quon", "--q", "0.9",
+                                    "--dim", "2", "--sector", "8", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kernel_dim"] == 0
+        assert payload["checks"]["positive_definite"] is True
+
     def test_kernel_boson(self, capsys):
         code, out, _ = run(capsys, ["kernel", "--preset", "boson", "--dim", "2",
                                     "--json"])
@@ -447,6 +462,47 @@ class TestEpsPlumbing:
         assert code == 0
 
 
+class TestSharedParser:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert main(["validate", "--preset", "boson"]) == 0
+        assert main(["gram", "--preset", "boson", "--sector", "2"]) == 0
+        assert main(["gram", "--preset", "boson"]) == 2
+        assert built == []
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch, corrupted_file):
+        # Each call could inherit state from the one before: a flag, a
+        # subcommand default, an aborted parse, or a help exit.
+        monkeypatch.delenv("WICKFORGE_EPS", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["--eps", "0.6", "validate", "--file", corrupted_file],
+            ["validate", "--file", corrupted_file],
+            ["gram", "--preset", "boson", "--sector", "3", "--quotient"],
+            ["gram", "--preset", "boson", "--sector", "3"],
+            ["gram", "--preset", "boson"],
+            ["validate", "--preset", "boson"],
+            ["--help"],
+            ["catalog", "--preset", "boson"],
+            ["validate", "--file", corrupted_file],
+        ]
+        fresh = {}
+        for argv in sequence:
+            key = tuple(argv)
+            if key not in fresh:
+                proc = subprocess.run([sys.executable, "-m", "wickforge.cli", *argv],
+                                      capture_output=True, text=True)
+                fresh[key] = (proc.returncode, proc.stdout, proc.stderr)
+        codes = []
+        for argv in sequence:
+            result = run(capsys, argv)
+            assert result == fresh[tuple(argv)], argv
+            codes.append(result[0])
+        assert codes == [0, 1, 0, 0, 2, 0, 0, 0, 1]
+
+
 class TestVerify:
     @pytest.mark.parametrize("expr", [
         "1e400 a(1) c(1)",
@@ -578,6 +634,13 @@ class TestMalformedOperatorFiles:
         code, _, err = run(capsys, ["validate", "--file", str(path)])
         assert code == 2
         assert err.startswith("error: malformed operator file")
+
+    def test_deeply_nested_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, ["validate", "--file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed operator file") and err.count("\n") == 1
 
     def test_fuzzed_files_exit_two_with_one_line(self, capsys, tmp_path):
         rng = np.random.default_rng(2024)
