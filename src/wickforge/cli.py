@@ -12,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
+from collections.abc import Callable
 
 import numpy as np
 
@@ -87,24 +89,24 @@ def _add_system_args(sub: argparse.ArgumentParser) -> None:
                      help="phase angles: one value or N*N row-major CSV")
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(payload: dict, as_json: bool, text: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or else the lines that ``text()`` returns, built only then."""
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in lines:
+        for line in text():
             print(line)
 
 
 def _cmd_validate(args) -> int:
     system = _resolve_system(args)
     report = validate_system(system, args.eps)
-    lines = [f"system: {report.label}"]
-    for check in report.checks:
-        lines.append(
-            f"{check.name:<20} {check.status:<8} {check.residual:.3e}  {check.detail}"
-        )
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-    _emit(report.to_dict(), args.json, lines)
+    _emit(report.to_dict(), args.json, lambda: [
+        f"system: {report.label}",
+        *(f"{check.name:<20} {check.status:<8} {check.residual:.3e}  {check.detail}"
+          for check in report.checks),
+        f"result: {'PASS' if report.passed else 'FAIL'}",
+    ])
     return 0 if report.passed else 1
 
 
@@ -112,20 +114,18 @@ def _cmd_gram(args) -> int:
     system = _resolve_system(args)
     eps = resolve_eps(args.eps)
     report = sector_report(system, args.sector, quotient=args.quotient, eps=eps)
-    spectrum = [float(v) for v in
-                sector_spectrum(system, args.sector, eps, quotient=args.quotient)]
+    spectrum = sector_spectrum(system, args.sector, eps, quotient=args.quotient).tolist()
     payload = dict(report)
     payload["label"] = system.label
     payload["spectrum"] = spectrum
-    lines = [
+    _emit(payload, args.json, lambda: [
         f"system: {system.label}  sector: {report['sector']}  dim: {report['dim']}"
         f"  quotient_dim: {report['quotient_dim']}",
         f"spectrum: {spectrum}",
         f"min_eig: {report['min_eig']}  kernel_dim: {report['kernel_dim']}",
         f"positive_semidefinite: {report['checks']['positive_semidefinite']}"
         f"  positive_definite: {report['checks']['positive_definite']}",
-    ]
-    _emit(payload, args.json, lines)
+    ])
     return 0
 
 
@@ -142,13 +142,11 @@ def _cmd_kernel(args) -> int:
         "kernel_dim": basis.shape[1],
         "basis": vectors,
     }
-    lines = [
+    _emit(payload, args.json, lambda: [
         f"system: {system.label}",
         f"kernel of id + Ttilde: dimension {basis.shape[1]}",
-    ]
-    for col, vec in enumerate(vectors):
-        lines.append(f"v{col}: {vec}")
-    _emit(payload, args.json, lines)
+        *(f"v{col}: {vec}" for col, vec in enumerate(vectors)),
+    ])
     return 0
 
 
@@ -161,8 +159,9 @@ def _cmd_quotient(args) -> int:
     for n in reversed(_sectors_upto(args.max_sector)):
         well, detail = True, ""
         try:
-            for i in range(1, system.dim + 1):
-                _descended_annihilation(system, i, n, eps)
+            # Each map is checked before it is yielded, and dropped at once.
+            deque(_descended_annihilation(system, tuple(range(1, system.dim + 1)), n, eps),
+                  maxlen=0)
         except NotWellDefined as exc:
             well, detail = False, str(exc)
         sectors.append({
@@ -175,15 +174,13 @@ def _cmd_quotient(args) -> int:
     sectors.reverse()
     all_ok = all(row["well_defined"] for row in sectors)
     payload = {"label": system.label, "sectors": sectors, "well_defined": all_ok}
-    lines = [f"system: {system.label}"]
-    for row in sectors:
-        lines.append(
-            f"sector {row['sector']}: dim {row['dim']}  quotient_dim "
-            f"{row['quotient_dim']}  well_defined {row['well_defined']}"
-            + (f"  ({row['detail']})" if row["detail"] else "")
-        )
-    lines.append(f"result: {'PASS' if all_ok else 'FAIL'}")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: [
+        f"system: {system.label}",
+        *(f"sector {row['sector']}: dim {row['dim']}  quotient_dim "
+          f"{row['quotient_dim']}  well_defined {row['well_defined']}"
+          + (f"  ({row['detail']})" if row["detail"] else "") for row in sectors),
+        f"result: {'PASS' if all_ok else 'FAIL'}",
+    ])
     return 0 if all_ok else 1
 
 
@@ -214,10 +211,9 @@ def _cmd_normal_order(args) -> int:
         "normal_form": text,
         "verify_residual": worst,
     }
-    lines = [text]
-    if worst is not None:
-        lines.append(f"verify: max residual {worst:.3e} over sectors 0..{args.max_sector}")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: [text] + (
+        [] if worst is None
+        else [f"verify: max residual {worst:.3e} over sectors 0..{args.max_sector}"]))
     if worst is not None and not worst <= eps:
         return 1
     return 0

@@ -15,6 +15,7 @@ vacuum is normalized to <0|0> = 1.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
@@ -211,31 +212,40 @@ def _annihilation_slices(
 
     Letters that c lacks get None.  The rows of a slice are the block c - e_i
     of sector m-1 that the head of letter i names, its columns the words of
-    c.  Block c's slices are one step of :func:`_annihilate_placed` on its
-    identity over the slices of degree m-1: the identity on column run i, plus
-    ``T^{ij}_{kl}`` times slice l of block c - e_j in row run k and column
-    run j, for every nonzero of T in the order of ``np.nonzero(T)``.  The
-    blocks are the system's own (:func:`_labels`): by letter content when T
-    is graded (then row run k of block c - e_i holds exactly the rows of
-    slice l of block c - e_j), and otherwise the whole sector, whose slices
-    are the dense levels.
+    c.  Block c's slices are one step of the recursion on its identity over
+    the slices of degree m-1: per first-letter run j of c, the identity on
+    column run j of slice j, plus ``T^{ij}_{kl}`` times slice l of the run's
+    tail block c - e_j in row run k and column run j of slice i
+    (:func:`_add_rules`), for every nonzero of T in the order of
+    ``np.nonzero(T)``.  The blocks are the system's own (:func:`_labels`): by
+    letter content when T is graded (then row run k of block c - e_i holds
+    exactly the rows of slice l of block c - e_j), and otherwise the whole
+    sector, whose slices are the dense levels.
     """
     key = ("annihilation", system.content_key, m)
     cached = _cache_get(key)
     if cached is not None:
         return cached
     n_sp = system.dim
-    _, heads, sizes, _ = _content_heads(_labels(system), m)
+    labels = _labels(system)
+    _, heads, sizes, _ = _content_heads(labels, m)
     for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
         for _, lo, hi in runs.values():
             _check_entries(hi - lo, size, "annihilation slice")
-    walk = _Walk(system, m - 1)
+    dtype = _field(system)
+    if m > 1:
+        tails = _content_heads(labels, m - 1)[1]
+        prev = _annihilation_slices(system, m - 1)
+        rules = _walk_species(system)[-1][1]
     out = []
-    for b, (runs, size) in enumerate(zip(heads, sizes)):
+    for runs, size in zip(heads, sizes):
         slices = [None] * n_sp
         for i0, (_, lo, hi) in runs.items():
-            slices[i0] = np.zeros((hi - lo, size), dtype=walk.dtype)
-        _annihilate_placed(walk, m, b, slice(0, size), None, walk.species[-1], slices)
+            slices[i0] = np.zeros((hi - lo, size), dtype=dtype)
+        for j0, (p, lo, hi) in runs.items():
+            np.fill_diagonal(slices[j0][:, lo:hi], 1.0)
+            if m > 1:
+                _add_rules(slices, rules[j0], prev[p], tails, runs, slice(lo, hi))
         for mat in slices:
             if mat is not None:
                 mat.setflags(write=False)
@@ -273,7 +283,8 @@ def _walk_species(system: StatisticsSystem) -> tuple:
     every l of a nonzero ``T^{ij}_{kl}`` with i in it (``{s0}`` for a
     flip-scaled T).  The nonzeros are listed per first letter j0 as ``(k0,
     l0, i0, T^{i0 j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``;
-    the coefficients are real when the system is (:func:`_field`).
+    the coefficients are real when the system is (:func:`_field`), and a real
+    coefficient 1 is None, which :func:`_add_rules` adds without a product.
     """
     key = ("walkspecies", system.content_key)
     cached = _cache_get(key)
@@ -287,7 +298,8 @@ def _walk_species(system: StatisticsSystem) -> tuple:
     feeds = [{l0 for _, l0, i0, _ in nonzeros if i0 == s0} for s0 in range(n_sp)]
     by_first = [[] for _ in range(n_sp)]
     for k0, l0, i0, j0 in nonzeros:
-        by_first[j0].append((k0, l0, i0, t4[k0, l0, i0, j0]))
+        coeff = t4[k0, l0, i0, j0]
+        by_first[j0].append((k0, l0, i0, None if t4.dtype == float and coeff == 1 else coeff))
     out = []
     for start in [{s0} for s0 in range(n_sp)] + [set(range(n_sp))]:
         closed, todo = set(start), list(start)
@@ -338,9 +350,28 @@ class _Walk:
         return found
 
 
+def _add_rules(out: list, rules: tuple, inner, tails: tuple, runs: dict, cols: slice) -> None:
+    """Add ``T^{ij}_{kl} x^k (x) inner_l`` into ``out[i0]`` for the rules of one first-letter run.
+
+    The one place where the recursion rule is written.  ``rules`` are the
+    nonzeros of the run's first letter j (:func:`_walk_species`), ``inner``
+    the result of ``A_l`` on the run's tails per species index (None where
+    the tail block lacks the letter), ``tails`` the heads of sector m-1,
+    ``runs`` the head of the word block, and ``cols`` the run's columns of
+    ``out``.  Each term lands in row run k of block ``b - e_i``.
+    """
+    for k0, l0, i0, coeff in rules:
+        if inner[l0] is not None:
+            _, top, bottom = tails[runs[i0][0]][k0]
+            target = out[i0][top:bottom, cols]
+            if coeff is None:
+                target += inner[l0]
+            else:
+                target += coeff * inner[l0]
+
+
 def _annihilate_placed(
-    walk: _Walk, m: int, b: int, rows: slice, block: np.ndarray | None, species: tuple,
-    out: list | None = None,
+    walk: _Walk, m: int, b: int, rows: slice, block: np.ndarray | None, species: tuple
 ) -> list[np.ndarray | None]:
     """``A_l`` applied to a column block placed in word block b of sector m, for l in a species set.
 
@@ -350,20 +381,19 @@ def _annihilate_placed(
     e_l`` of sector m-1 (the head of letter l), for each l of the set whose
     letter block b holds, and None otherwise.  At degrees ``m <= floor`` the
     slices ``A_l[b - e_l, b]`` are read on those columns.  Above ``floor``
-    the one-step recursion acts instead, adding into ``out`` when the caller
-    has allocated it (zeros or None per species) and otherwise into zeros
-    allocated here in the field of the walk and the block, the entries of
-    all species bounded together by the entry cap.  The rows are split by
-    the first-letter runs of block b, each live tail is annihilated one
-    degree down in its block p, and ``A_i`` collects ``delta_ij tail + sum
-    T^{ij}_{kl} x^k (x) A_l(tail)``, the second term in run k of block ``b -
-    e_i`` (for the identity, in the columns of run j).  No slice above
+    the one-step recursion acts instead, adding into zeros allocated in the
+    field of the walk and the block, the entries of all species bounded
+    together by the entry cap.  The rows are split by the first-letter runs
+    of block b, each live tail is annihilated one degree down in its block
+    p, and ``A_i`` collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x)
+    A_l(tail)`` (:func:`_add_rules`), the second term in run k of block ``b
+    - e_i`` (for the identity, in the columns of run j).  No slice above
     ``floor`` is built.  On a one-block partition this is the recursion on
     the whole sector.
     """
     wanted, rules = species
+    out = [None] * walk.n_species
     if m <= walk.floor:
-        out = [None] * walk.n_species
         found = walk.slices(m)[b]
         for l0 in wanted:
             if found[l0] is not None:
@@ -371,14 +401,12 @@ def _annihilate_placed(
         return out
     runs = walk.level(m)[0][b]
     tails, below, _ = walk.level(m - 1)
-    if out is None:
-        width = rows.stop - rows.start if block is None else block.shape[1]
-        targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
-        _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
-        dtype = walk.dtype if block is None else np.result_type(walk.dtype, block)
-        out = [None] * walk.n_species
-        for i0, p in targets:
-            out[i0] = np.zeros((below[p], width), dtype=dtype)
+    width = rows.stop - rows.start if block is None else block.shape[1]
+    targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
+    _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
+    dtype = walk.dtype if block is None else np.result_type(walk.dtype, block)
+    for i0, p in targets:
+        out[i0] = np.zeros((below[p], width), dtype=dtype)
     first, last = rows.start, rows.stop
     for j0, (p, lo, hi) in runs.items():
         start, stop = (lo if lo > first else first), (hi if hi < last else last)
@@ -398,10 +426,7 @@ def _annihilate_placed(
         if m == 1:
             continue
         inner = _annihilate_placed(walk, m - 1, p, slice(tail, tail + stop - start), part, species)
-        for k0, l0, i0, coeff in rules[j0]:
-            if inner[l0] is not None:
-                _, top, bottom = tails[runs[i0][0]][k0]
-                out[i0][top:bottom, cols] += coeff * inner[l0]
+        _add_rules(out, rules[j0], inner, tails, runs, cols)
     return out
 
 
@@ -418,9 +443,13 @@ def _gram(system: StatisticsSystem, n: int) -> GramMatrix:
     else:
         for size in sizes:  # refused before the recursion builds anything
             _check_entries(size, size, "Gram block")
-        prev = _gram(system, n - 1).blocks
-        blocks = tuple(np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
-                       for runs, slices in zip(heads, _annihilation_slices(system, n)))
+        prev, dtype = _gram(system, n - 1).blocks, _field(system)
+        blocks = []
+        for runs, size, slices in zip(heads, sizes, _annihilation_slices(system, n)):
+            block = np.empty((size, size), dtype=dtype)
+            for i0, (p, lo, hi) in runs.items():  # row run i0 is G_{n-1}[p] @ A_i[p, c]
+                np.matmul(prev[p], slices[i0], out=block[lo:hi])
+            blocks.append(block)
     for block in blocks:
         block.setflags(write=False)
     return _cache_put(key, GramMatrix(n=n, words=_content_partition(labels, n), blocks=blocks))
@@ -777,40 +806,59 @@ def quotient_sector(
     return replace(sector, quotient=QuotientData(_standard_basis(system, n, resolve_eps(eps), 1)))
 
 
-def _descended_annihilation(system: StatisticsSystem, i: int, n: int, eps: float) -> np.ndarray:
-    """``Q_{n-1}^* A_i Q_n`` on quotient sectors, once ``A_i`` is checked to preserve the ideal.
+def _descended_annihilation(system: StatisticsSystem, species: tuple[int, ...], n: int,
+                            eps: float) -> Iterator[np.ndarray]:
+    """``Q_{n-1}^* A_i Q_n`` on quotient sectors for each i of ``species`` in turn, checked first.
 
-    Raises :class:`NotWellDefined` unless ``Q_{n-1}^* A_i`` vanishes on the
-    degree-n ideal slice.  Rows and columns follow :func:`quotient_sector`.
-    In the weight form ``A_i = sum_p W[i, p] A'_p``, and the block pair
-    ``(b - e_p, b)`` gets ``W[i, p] comp_{b-e_p}^* A'_p[b - e_p, b] [span_b |
-    comp_b]`` (:func:`_ideal_split`) from its one letter p (a one-block form
-    has ``W = 1``), so the residual ``max|Q_{n-1}^* A_i span_n|`` is ``max_p
-    |W[i, p]| max|R'_p|`` over the span parts.  Reads the bases of sectors n
-    and n-1 only, n first.
+    Raises :class:`NotWellDefined` when it reaches an i for which ``Q_{n-1}^*
+    A_i`` does not vanish on the degree-n ideal slice.  Rows and columns
+    follow :func:`quotient_sector`.  In the weight form ``A_i = sum_p W[i,
+    p] A'_p``, and the block pair ``(b - e_p, b)`` gets ``W[i, p]
+    comp_{b-e_p}^* A'_p[b - e_p, b] [span_b | comp_b]``
+    (:func:`_ideal_split`) from its one letter p (a one-block form has ``W =
+    1``), so the residual ``max|Q_{n-1}^* A_i span_n|`` is ``max_p |W[i, p]|
+    max|R'_p|`` over the span parts.  The product ``comp_{b-e_p}^* A'_p[b -
+    e_p, b]`` is formed once and kept until the last species that weights it,
+    and each map is yielded before the next is built, so that a caller that
+    only checks them holds one at a time.  Reads the bases of sectors n and
+    n-1 only, n first.
     """
     split = _ideal_split(system, n, eps)
     if n == 0:  # the vacuum is killed
-        return np.zeros((0, split[0][1].shape[1]), dtype=split[0][1].dtype)
+        for _ in species:
+            yield np.zeros((0, split[0][1].shape[1]), dtype=split[0][1].dtype)
+        return
     below = _ideal_split(system, n - 1, eps)
     w, form = _weight_form(system)
     slices = _annihilation_slices(form, n)
+    heads = _content_heads(_labels(form), n)[1]
     rows, spans, cols = (np.cumsum([0] + [pair[half].shape[1] for pair in bases]).tolist()
                          for bases, half in ((below, 1), (split, 0), (split, 1)))
-    image = np.zeros((rows[-1], spans[-1]), dtype=np.result_type(split[0][1], w))  # on I_n
-    out = np.zeros((rows[-1], cols[-1]), dtype=image.dtype)
-    weights = w[i - 1].tolist()
-    for b, ((span_b, comp_b), runs) in enumerate(zip(split, _content_heads(_labels(form), n)[1])):
-        for p, (c, _, _) in runs.items():
-            if weights[p]:
-                down = weights[p] * (dagger(below[c][1]) @ slices[b][p])
-                image[rows[c]:rows[c + 1], spans[b]:spans[b + 1]] += down @ span_b
-                out[rows[c]:rows[c + 1], cols[b]:cols[b + 1]] += down @ comp_b
-    res = max_abs(image)  # 0 for an empty span
-    if not res <= eps:  # a NaN residual fails too
-        raise NotWellDefined(f"annihilation does not preserve the ideal at degree {n} (residual "
-                             f"{res:.3e}); (T, B) violate the consistency laws")
-    return out
+    dtype = np.result_type(split[0][1], w)
+    weights = [w[i - 1].tolist() for i in species]
+    last = {(b, p): k for k, row in enumerate(weights)
+            for b, runs in enumerate(heads) for p in runs if row[p]}
+    held = {}
+    for k, row in enumerate(weights):
+        image = np.zeros((rows[-1], spans[-1]), dtype=dtype)  # on I_n
+        out = np.zeros((rows[-1], cols[-1]), dtype=dtype)
+        for b, ((span_b, comp_b), runs) in enumerate(zip(split, heads)):
+            for p, (c, _, _) in runs.items():
+                if row[p]:
+                    base = held.pop((b, p), None)
+                    if base is None:
+                        base = dagger(below[c][1]) @ slices[b][p]
+                    if last[b, p] > k:
+                        held[b, p] = base
+                    down = row[p] * base
+                    image[rows[c]:rows[c + 1], spans[b]:spans[b + 1]] += down @ span_b
+                    out[rows[c]:rows[c + 1], cols[b]:cols[b + 1]] += down @ comp_b
+        res = max_abs(image)  # 0 for an empty span
+        if not res <= eps:  # a NaN residual fails too
+            raise NotWellDefined(f"annihilation does not preserve the ideal at degree {n} "
+                                 f"(residual {res:.3e}); (T, B) violate the consistency laws")
+        yield out
+        del image, out  # so that the map just yielded is not held while the next is built
 
 
 def descended_operators(
@@ -832,7 +880,7 @@ def descended_operators(
     # The larger sector first, so that an oversized one is refused before
     # the smaller ones are built.
     q_up = _standard_basis(system, n + 1, eps, 1)
-    annihilation = _descended_annihilation(system, i, n, eps)
+    annihilation, = _descended_annihilation(system, (i,), n, eps)
     q_n = _standard_basis(system, n, eps, 1)
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).

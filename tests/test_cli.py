@@ -285,6 +285,26 @@ class TestCommands:
         assert payload["spectrum"] == [2.625]
         assert payload["checks"]["positive_definite"] is True
 
+    @pytest.mark.parametrize("argv,system,sector,quotient", [
+        (["--preset", "quon", "--q", "0.5", "--dim", "2"], make_preset("quon", 2, q=0.5), 5, False),
+        (["--preset", "boson", "--dim", "3", "--quotient"], make_preset("boson", 3), 4, True),
+    ])
+    def test_gram_spectrum_line_in_both_modes(self, capsys, argv, system, sector, quotient):
+        spectrum = fock.sector_spectrum(system, sector, quotient=quotient).tolist()
+        argv = ["gram", *argv, "--sector", str(sector)]
+        code, out, _ = run(capsys, [*argv, "--json"])
+        assert code == 0 and out.count("\n") == 1
+        assert json.loads(out)["spectrum"] == spectrum
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.splitlines()[1] == f"spectrum: {spectrum}"
+
+    def test_json_builds_no_text(self, capsys):
+        def refuse():
+            raise AssertionError("the text output was built under --json")
+
+        cli._emit({"ok": True}, True, refuse)
+        assert capsys.readouterr().out == '{"ok": true}\n'
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 3: kernel_dim counts eigenvalues below eps * max|lambda|, "
         "so a PD Gram with condition number above 1/eps reports a kernel"))

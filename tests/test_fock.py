@@ -271,16 +271,21 @@ class TestAnnihilationMatrix:
         systems = graded_systems(n_species)
         systems += [haar_rotated(systems[-1], rng), haar_rotated(systems[3], rng)]
         for system in systems:
-            t4 = system.cross.tensor()
             for n in range(1, max_degree + 1):
-                words = sector_basis(n_species, n).basis
                 for i in range(1, n_species + 1):
-                    oracle = np.zeros((n_species ** (n - 1), len(words)), dtype=complex)
-                    for col, word in enumerate(words):
-                        for tail, c in annihilate_word(t4, i, word).items():
-                            oracle[word_index(tail, n_species), col] += c
                     got = annihilation_matrix(system, i, n)
-                    assert max_abs(got - oracle) <= 1e-12, (system.label, n, i)
+                    assert max_abs(got - word_level(system, i, n)) <= 1e-12, (system.label, n, i)
+
+
+def word_level(system, i, n):
+    """The dense level ``A_i`` from sector n to n-1, word by word (:func:`annihilate_word`)."""
+    n_species, t4 = system.dim, system.cross.tensor()
+    words = sector_basis(n_species, n).basis
+    oracle = np.zeros((n_species ** (n - 1), len(words)), dtype=complex)
+    for col, word in enumerate(words):
+        for tail, c in annihilate_word(t4, i, word).items():
+            oracle[word_index(tail, n_species), col] += c
+    return oracle
 
 
 def placed_reference(system, walk, m, b, rows, block, levels):
@@ -435,6 +440,62 @@ class TestPlacedAnnihilation:
         fock._annihilate_placed(walk, 8, 3, slice(5, 8), np.ones((3, 2)), walk.species[0])
         built = {key[2] for key in fock._CACHE if key[0] == "annihilation"}
         assert built and max(built) <= 2
+
+
+def same_bytes(got, want) -> bool:
+    """Both None, or arrays of one dtype and shape with the same bytes."""
+    if got is None or want is None:
+        return got is want
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSliceStep:
+    """The direct block step of the slices against the placed recursion and the word oracle."""
+
+    @staticmethod
+    def systems(n_species):
+        rng = np.random.default_rng(43)
+        systems = graded_systems(n_species) + [multi_q(n_species, rng)]
+        return systems + [haar_rotated(systems[6], rng)]  # the phase preset, as one block
+
+    @pytest.mark.parametrize("n_species,max_degree", [(1, 8), (2, 8), (3, 5)])
+    def test_slices_equal_the_placed_recursion(self, fresh_cache, n_species, max_degree):
+        for system in self.systems(n_species):
+            for m in range(1, max_degree + 1):
+                walk = fock._Walk(system, m - 1)
+                heads, sizes, _ = walk.level(m)
+                got = fock._annihilation_slices(system, m)
+                assert len(got) == len(sizes)
+                for b, size in enumerate(sizes):
+                    want = fock._annihilate_placed(walk, m, b, slice(0, size), None,
+                                                   walk.species[-1])
+                    for i0 in range(n_species):
+                        assert same_bytes(got[b][i0], want[i0]), (system.label, m, b, i0)
+                if n_species**m <= 81:  # an independent route for the small sectors
+                    for i in range(1, n_species + 1):
+                        ref = word_level(system, i, m)
+                        assert max_abs(annihilation_matrix(system, i, m) - ref) <= 1e-12, (
+                            system.label, m, i)
+
+    @pytest.mark.parametrize("n_species,max_degree", [(1, 8), (2, 8), (3, 5)])
+    def test_gram_blocks_equal_the_stacked_products(self, fresh_cache, n_species, max_degree):
+        for system in self.systems(n_species):
+            for n in range(1, max_degree + 1):
+                prev = gram_matrix(system, n - 1).blocks
+                heads = fock._content_heads(fock._labels(system), n)[1]
+                for runs, slices, block in zip(heads, fock._annihilation_slices(system, n),
+                                               gram_matrix(system, n).blocks):
+                    want = np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
+                    assert same_bytes(block, want), (system.label, n)
+
+    def test_slices_take_no_placed_recursion(self, fresh_cache, monkeypatch, twisted2):
+        def refuse(*args):
+            raise AssertionError("the placed recursion was called")
+
+        monkeypatch.setattr(fock, "_Walk", refuse)
+        monkeypatch.setattr(fock, "_annihilate_placed", refuse)
+        for system in (twisted2, haar_rotated(twisted2, np.random.default_rng(47))):
+            gram_matrix(system, 6)
 
 
 class TestGramMatrix:
@@ -1214,6 +1275,48 @@ class TestDescendedOperators:
         )
         with pytest.raises(NotWellDefined):
             descended_operators(system, 1, 2)
+
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_all_species_equal_the_one_species_calls(self, fresh_cache, n_species):
+        rng = np.random.default_rng(61)
+        angles = np.triu(rng.uniform(0.3, 2.8, (n_species, n_species)), 1)
+        system = haar_rotated(make_preset("phase", n_species, phi=angles - angles.T), rng)
+        assert max_abs(np.abs(fock._weight_form(system)[0]) - np.eye(n_species)) > 0.1
+        species = tuple(range(1, n_species + 1))
+        for n in range(5):
+            got = tuple(fock._descended_annihilation(system, species, n, EPS))
+            assert len(got) == n_species
+            for i, mat in zip(species, got):
+                want, = fock._descended_annihilation(system, (i,), n, EPS)
+                assert same_bytes(mat, want), (n, i)
+
+    def test_all_species_fail_as_the_first_failing_species(self, fresh_cache):
+        corrupted = StatisticsSystem(cross=CrossOperator(0.5 * flip_matrix(2)),
+                                     braid=BraidOperator(flip_matrix(2)), label="corrupted")
+        # the boson T with the phase braid of letters 2 and 3 only: A_1 descends, A_2 does not
+        phi = np.zeros((3, 3))
+        phi[1, 2], phi[2, 1] = 1.0, -1.0
+        split = StatisticsSystem(cross=make_preset("boson", 3).cross,
+                                 braid=make_preset("phase", 3, phi=phi).braid, label="split")
+        rng = np.random.default_rng(67)
+        first_failing = set()
+        for system in [corrupted, split] + inconsistent_braids(3, rng):
+            species = tuple(range(1, system.dim + 1))
+            for n in range(1, 5):
+                messages = []
+                for i in species:
+                    try:
+                        tuple(fock._descended_annihilation(system, (i,), n, EPS))
+                    except NotWellDefined as exc:
+                        messages.append((i, str(exc)))
+                if not messages:
+                    tuple(fock._descended_annihilation(system, species, n, EPS))
+                    continue
+                first_failing.add(messages[0][0])
+                with pytest.raises(NotWellDefined) as info:
+                    tuple(fock._descended_annihilation(system, species, n, EPS))
+                assert str(info.value) == messages[0][1], (system.label, n)
+        assert first_failing == {1, 2}
 
     def test_overflowing_residual_is_not_well_defined(self, fresh_cache, boson2):
         # the level of a huge T overflows, so the annihilation residual is NaN
