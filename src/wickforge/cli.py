@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 from collections.abc import Callable
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     SpeciesOutOfRange,
 )
 from .fock import (
-    _descended_annihilation,
+    _check_descends,
     _ideal_split,
     p2_kernel,
     sector_report,
@@ -159,9 +158,7 @@ def _cmd_quotient(args) -> int:
     for n in reversed(_sectors_upto(args.max_sector)):
         well, detail = True, ""
         try:
-            # Each map is checked before it is yielded, and dropped at once.
-            deque(_descended_annihilation(system, tuple(range(1, system.dim + 1)), n, eps),
-                  maxlen=0)
+            _check_descends(system, n, eps)
         except NotWellDefined as exc:
             well, detail = False, str(exc)
         sectors.append({

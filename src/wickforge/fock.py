@@ -15,7 +15,6 @@ vacuum is normalized to <0|0> = 1.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
@@ -806,59 +805,35 @@ def quotient_sector(
     return replace(sector, quotient=QuotientData(_standard_basis(system, n, resolve_eps(eps), 1)))
 
 
-def _descended_annihilation(system: StatisticsSystem, species: tuple[int, ...], n: int,
-                            eps: float) -> Iterator[np.ndarray]:
-    """``Q_{n-1}^* A_i Q_n`` on quotient sectors for each i of ``species`` in turn, checked first.
+def _check_descends(system: StatisticsSystem, n: int, eps: float) -> None:
+    """Raise :class:`NotWellDefined` unless every ``Q_{n-1}^* A_i`` vanishes on the ideal slice ``I_n``.
 
-    Raises :class:`NotWellDefined` when it reaches an i for which ``Q_{n-1}^*
-    A_i`` does not vanish on the degree-n ideal slice.  Rows and columns
-    follow :func:`quotient_sector`.  In the weight form ``A_i = sum_p W[i,
-    p] A'_p``, and the block pair ``(b - e_p, b)`` gets ``W[i, p]
-    comp_{b-e_p}^* A'_p[b - e_p, b] [span_b | comp_b]``
-    (:func:`_ideal_split`) from its one letter p (a one-block form has ``W =
-    1``), so the residual ``max|Q_{n-1}^* A_i span_n|`` is ``max_p |W[i, p]|
-    max|R'_p|`` over the span parts.  The product ``comp_{b-e_p}^* A'_p[b -
-    e_p, b]`` is formed once and kept until the last species that weights it,
-    and each map is yielded before the next is built, so that a caller that
-    only checks them holds one at a time.  Reads the bases of sectors n and
-    n-1 only, n first.
+    In the weight form ``A_i = sum_p W[i, p] A'_p``, and the block pair ``(b
+    - e_p, b)`` has one letter p (a one-block form has ``W = 1``), so the
+    residual ``max|Q_{n-1}^* A_i span_n|`` of species i is ``max_p |W[i, p]|
+    r_p``, where ``r_p`` is the largest entry of ``comp_{b-e_p}^* A'_p[b -
+    e_p, b] span_b`` over the blocks b (:func:`_ideal_split`).  Zero weights
+    are skipped, and a NaN residual fails.  The message names the residual of
+    the first failing species in order 1..N.  Reads the bases of sectors n
+    and n-1 only, n first; the vacuum is killed, so n = 0 passes.
     """
     split = _ideal_split(system, n, eps)
-    if n == 0:  # the vacuum is killed
-        for _ in species:
-            yield np.zeros((0, split[0][1].shape[1]), dtype=split[0][1].dtype)
+    if n == 0:
         return
     below = _ideal_split(system, n - 1, eps)
     w, form = _weight_form(system)
-    slices = _annihilation_slices(form, n)
-    heads = _content_heads(_labels(form), n)[1]
-    rows, spans, cols = (np.cumsum([0] + [pair[half].shape[1] for pair in bases]).tolist()
-                         for bases, half in ((below, 1), (split, 0), (split, 1)))
-    dtype = np.result_type(split[0][1], w)
-    weights = [w[i - 1].tolist() for i in species]
-    last = {(b, p): k for k, row in enumerate(weights)
-            for b, runs in enumerate(heads) for p in runs if row[p]}
-    held = {}
-    for k, row in enumerate(weights):
-        image = np.zeros((rows[-1], spans[-1]), dtype=dtype)  # on I_n
-        out = np.zeros((rows[-1], cols[-1]), dtype=dtype)
-        for b, ((span_b, comp_b), runs) in enumerate(zip(split, heads)):
-            for p, (c, _, _) in runs.items():
-                if row[p]:
-                    base = held.pop((b, p), None)
-                    if base is None:
-                        base = dagger(below[c][1]) @ slices[b][p]
-                    if last[b, p] > k:
-                        held[b, p] = base
-                    down = row[p] * base
-                    image[rows[c]:rows[c + 1], spans[b]:spans[b + 1]] += down @ span_b
-                    out[rows[c]:rows[c + 1], cols[b]:cols[b + 1]] += down @ comp_b
-        res = max_abs(image)  # 0 for an empty span
+    letters = np.zeros(system.dim)  # r_p; np.maximum keeps a NaN
+    for (span_b, _), runs, slices in zip(split, _content_heads(_labels(form), n)[1],
+                                         _annihilation_slices(form, n)):
+        for p, (c, _, _) in runs.items():
+            res = max_abs((dagger(below[c][1]) @ slices[p]) @ span_b)  # 0 for an empty span
+            letters[p] = np.maximum(letters[p], res)
+    for weights in np.abs(w):
+        kept = weights != 0  # a zero weight times an infinite r_p would read NaN
+        res = max_abs(weights[kept] * letters[kept])
         if not res <= eps:  # a NaN residual fails too
             raise NotWellDefined(f"annihilation does not preserve the ideal at degree {n} "
                                  f"(residual {res:.3e}); (T, B) violate the consistency laws")
-        yield out
-        del image, out  # so that the map just yielded is not held while the next is built
 
 
 def descended_operators(
@@ -869,18 +844,37 @@ def descended_operators(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Creation (n -> n+1) and annihilation (n -> n-1) on quotient sectors.
 
-    Raises :class:`NotWellDefined` unless annihilation maps the degree-n ideal
-    slice into degree n-1 (:func:`_descended_annihilation`), the consistency
-    requirement on (T, B); at n = 0 its factor is the empty map.  Creation
-    needs no check: the ideal is two-sided and generated in degree 2, so
-    ``E (x) I_n`` lies in ``I_{n+1}`` for every (T, B).
+    Raises :class:`NotWellDefined` unless the annihilation of every species
+    maps the degree-n ideal slice into degree n-1 (:func:`_check_descends`),
+    the consistency requirement on (T, B); at n = 0 the annihilation is the
+    empty map.  Creation needs no check: the ideal is two-sided and
+    generated in degree 2, so ``E (x) I_n`` lies in ``I_{n+1}`` for every (T,
+    B).  The annihilation ``Q_{n-1}^* A_i Q_n`` gets ``W[i, p]
+    comp_{b-e_p}^* A'_p[b - e_p, b] comp_b`` on each block pair of the weight
+    form, rows and columns as in :func:`quotient_sector`.
     """
     eps = resolve_eps(eps)
     _check_species(system, i)
     # The larger sector first, so that an oversized one is refused before
     # the smaller ones are built.
     q_up = _standard_basis(system, n + 1, eps, 1)
-    annihilation, = _descended_annihilation(system, (i,), n, eps)
+    _check_descends(system, n, eps)
+    split = _ideal_split(system, n, eps)
+    if n == 0:
+        annihilation = np.zeros((0, split[0][1].shape[1]), dtype=split[0][1].dtype)
+    else:
+        below = _ideal_split(system, n - 1, eps)
+        w, form = _weight_form(system)
+        rows, cols = (np.cumsum([0] + [comp.shape[1] for _, comp in bases]).tolist()
+                      for bases in (below, split))
+        annihilation = np.zeros((rows[-1], cols[-1]), dtype=np.result_type(split[0][1], w))
+        weights = w[i - 1].tolist()
+        for b, ((_, comp_b), runs, slices) in enumerate(
+                zip(split, _content_heads(_labels(form), n)[1], _annihilation_slices(form, n))):
+            for p, (c, _, _) in runs.items():
+                if weights[p]:
+                    annihilation[rows[c]:rows[c + 1], cols[b]:cols[b + 1]] += (
+                        weights[p] * (dagger(below[c][1]) @ slices[p])) @ comp_b
     q_n = _standard_basis(system, n, eps, 1)
     # Creation fills one row block of sector n+1, so dagger(q_up) @ C reduces
     # to the matching columns of dagger(q_up).

@@ -423,9 +423,10 @@ class TestCommands:
         fock.clear_cache()
 
         def refuse(*args):
-            raise AssertionError("a quotient verdict built a standard basis")
+            raise AssertionError("a quotient verdict built a standard basis or a descended map")
 
         monkeypatch.setattr(fock, "_standard_basis", refuse)
+        monkeypatch.setattr(fock, "descended_operators", refuse)
         assert [run(capsys, argv) for argv in argvs] == expected
 
     def test_phase_preset_via_phi_flag(self, capsys):

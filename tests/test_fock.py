@@ -1276,47 +1276,44 @@ class TestDescendedOperators:
         with pytest.raises(NotWellDefined):
             descended_operators(system, 1, 2)
 
-    @pytest.mark.parametrize("n_species", [2, 3])
-    def test_all_species_equal_the_one_species_calls(self, fresh_cache, n_species):
-        rng = np.random.default_rng(61)
-        angles = np.triu(rng.uniform(0.3, 2.8, (n_species, n_species)), 1)
-        system = haar_rotated(make_preset("phase", n_species, phi=angles - angles.T), rng)
-        assert max_abs(np.abs(fock._weight_form(system)[0]) - np.eye(n_species)) > 0.1
-        species = tuple(range(1, n_species + 1))
-        for n in range(5):
-            got = tuple(fock._descended_annihilation(system, species, n, EPS))
-            assert len(got) == n_species
-            for i, mat in zip(species, got):
-                want, = fock._descended_annihilation(system, (i,), n, EPS)
-                assert same_bytes(mat, want), (n, i)
-
-    def test_all_species_fail_as_the_first_failing_species(self, fresh_cache):
-        corrupted = StatisticsSystem(cross=CrossOperator(0.5 * flip_matrix(2)),
-                                     braid=BraidOperator(flip_matrix(2)), label="corrupted")
-        # the boson T with the phase braid of letters 2 and 3 only: A_1 descends, A_2 does not
-        phi = np.zeros((3, 3))
-        phi[1, 2], phi[2, 1] = 1.0, -1.0
-        split = StatisticsSystem(cross=make_preset("boson", 3).cross,
-                                 braid=make_preset("phase", 3, phi=phi).braid, label="split")
+    def test_check_descends_matches_the_dense_residual(self, fresh_cache):
+        # A second route to every eps verdict: the dense level between the
+        # standard-basis bases, species by species.
         rng = np.random.default_rng(67)
         first_failing = set()
-        for system in [corrupted, split] + inconsistent_braids(3, rng):
-            species = tuple(range(1, system.dim + 1))
-            for n in range(1, 5):
-                messages = []
-                for i in species:
-                    try:
-                        tuple(fock._descended_annihilation(system, (i,), n, EPS))
-                    except NotWellDefined as exc:
-                        messages.append((i, str(exc)))
-                if not messages:
-                    tuple(fock._descended_annihilation(system, species, n, EPS))
-                    continue
-                first_failing.add(messages[0][0])
-                with pytest.raises(NotWellDefined) as info:
-                    tuple(fock._descended_annihilation(system, species, n, EPS))
-                assert str(info.value) == messages[0][1], (system.label, n)
+        for n_species in (2, 3):
+            corrupted = StatisticsSystem(cross=CrossOperator(0.5 * flip_matrix(n_species)),
+                                         braid=BraidOperator(flip_matrix(n_species)),
+                                         label="corrupted")
+            bases = (braided_systems(n_species) + inconsistent_braids(n_species, rng)
+                     + [corrupted] + [split_braid()] * (n_species == 3))
+            for base in bases:
+                for system in (base, haar_rotated(base, rng)):
+                    fock._check_descends(system, 0, EPS)  # the vacuum is killed
+                    for n in range(1, 5):
+                        q_down = quotient_sector(system, n - 1).quotient.complement_basis
+                        span = ideal_subspace(system, n)
+                        dense = [max_abs(dagger(q_down) @ annihilation_matrix(system, i, n) @ span)
+                                 for i in range(1, n_species + 1)]
+                        failing = [(i, res) for i, res in enumerate(dense, 1) if not res <= EPS]
+                        if not failing:
+                            fock._check_descends(system, n, EPS)
+                            continue
+                        first, res = failing[0]
+                        first_failing.add(first)
+                        with pytest.raises(NotWellDefined, match=(
+                                rf"^annihilation does not preserve the ideal at degree {n} "
+                                r"\(residual \S+\); \(T, B\) violate")) as info:
+                            fock._check_descends(system, n, EPS)
+                        named = float(str(info.value).split("residual ")[1].split(")")[0])
+                        assert named == pytest.approx(res, rel=5e-3), (system.label, n, first)
         assert first_failing == {1, 2}
+
+    def test_one_failing_species_refuses_every_species(self, fresh_cache):
+        # The quotient carries the representation only when every A_i descends.
+        for i in (1, 2, 3):
+            with pytest.raises(NotWellDefined, match=r"degree 2 \(residual 6.780e-01\)"):
+                descended_operators(split_braid(), i, 2)
 
     def test_overflowing_residual_is_not_well_defined(self, fresh_cache, boson2):
         # the level of a huge T overflows, so the annihilation residual is NaN
@@ -1363,6 +1360,14 @@ class TestDescendedOperators:
                         assert got.shape == ref.shape
                         assert max_abs(got - ref) <= 1e-13 * max(1.0, max_abs(ref)), (
                             system.label, n, i)
+
+
+def split_braid() -> StatisticsSystem:
+    """The boson T with the phase braid of letters 2 and 3 only: A_1 descends, A_2 does not."""
+    phi = np.zeros((3, 3))
+    phi[1, 2], phi[2, 1] = 1.0, -1.0
+    return StatisticsSystem(cross=make_preset("boson", 3).cross,
+                            braid=make_preset("phase", 3, phi=phi).braid, label="split")
 
 
 def inconsistent_braids(n_species: int, rng: np.random.Generator) -> list[StatisticsSystem]:
