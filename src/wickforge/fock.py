@@ -67,9 +67,9 @@ def _cache_get(key):
         return _CACHE.get(key)
 
 
-def _cache_put(key, value):
+def _cache_put(key, value, table: dict = _CACHE):
     with _CACHE_LOCK:
-        return _CACHE.setdefault(key, value)
+        return table.setdefault(key, value)
 
 
 def _sector_dim(n_species: int, n: int) -> int:
@@ -204,54 +204,6 @@ def creation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     return mat
 
 
-def _annihilation_slices(
-    system: StatisticsSystem, m: int
-) -> tuple[tuple[np.ndarray | None, ...], ...]:
-    """Per word block c of sector m >= 1 (:func:`word_blocks`): ``A_i[c - e_i, c]`` at index i0.
-
-    Letters that c lacks get None.  The rows of a slice are the block c - e_i
-    of sector m-1 that the head of letter i names, its columns the words of
-    c.  Block c's slices are one step of the recursion on its identity over
-    the slices of degree m-1: per first-letter run j of c, the identity on
-    column run j of slice j, plus ``T^{ij}_{kl}`` times slice l of the run's
-    tail block c - e_j in row run k and column run j of slice i
-    (:func:`_add_rules`), for every nonzero of T in the order of
-    ``np.nonzero(T)``.  The blocks are the system's own (:func:`_labels`): by
-    letter content when T is graded (then row run k of block c - e_i holds
-    exactly the rows of slice l of block c - e_j), and otherwise the whole
-    sector, whose slices are the dense levels.
-    """
-    key = ("annihilation", system.content_key, m)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    n_sp = system.dim
-    labels = _labels(system)
-    _, heads, sizes, _ = _content_heads(labels, m)
-    for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
-        for _, lo, hi in runs.values():
-            _check_entries(hi - lo, size, "annihilation slice")
-    dtype = _field(system)
-    if m > 1:
-        tails = _content_heads(labels, m - 1)[1]
-        prev = _annihilation_slices(system, m - 1)
-        rules = _walk_species(system)[-1][1]
-    out = []
-    for runs, size in zip(heads, sizes):
-        slices = [None] * n_sp
-        for i0, (_, lo, hi) in runs.items():
-            slices[i0] = np.zeros((hi - lo, size), dtype=dtype)
-        for j0, (p, lo, hi) in runs.items():
-            np.fill_diagonal(slices[j0][:, lo:hi], 1.0)
-            if m > 1:
-                _add_rules(slices, rules[j0], prev[p], tails, runs, slice(lo, hi))
-        for mat in slices:
-            if mat is not None:
-                mat.setflags(write=False)
-        out.append(tuple(slices))
-    return _cache_put(key, tuple(out))
-
-
 def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     """Matrix of the annihilation recursion from sector n to sector n-1.
 
@@ -264,96 +216,163 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
         raise ValueError(f"annihilation needs degree >= 1, got {n}")
     n_sp = system.dim
     _sector_dim(n_sp, n)
-    labels = _labels(system)
-    heads = _content_heads(labels, n)[1]
+    tower = _tower(system)
+    heads = tower.level(n)[0]
     if len(heads) == 1:
-        return _annihilation_slices(system, n)[0][i - 1]
-    below, words = _content_partition(labels, n - 1), _content_partition(labels, n)
+        return tower.slices(n)[0][i - 1]
+    below, words = _content_partition(tower.labels, n - 1), _content_partition(tower.labels, n)
     # Lazy, so that the slices are built only once the level passes the cap.
-    parts = ((below[runs[i - 1][0]], words[b], _annihilation_slices(system, n)[b][i - 1])
+    parts = ((below[runs[i - 1][0]], words[b], tower.slices(n)[b][i - 1])
              for b, runs in enumerate(heads) if i - 1 in runs)
-    return _scatter((n_sp ** (n - 1), n_sp**n), _field(system), "annihilation level", parts)
+    return _scatter((n_sp ** (n - 1), n_sp**n), tower.dtype, "annihilation level", parts)
 
 
-def _walk_species(system: StatisticsSystem) -> tuple:
-    """Per species index s0, then for all species: the species set needed and the T nonzeros read.
+class _Tower:
+    """The per-degree state of the Fock representation of one operator content.
 
-    The set is the smallest one that holds s0 (all, in the last entry) and
-    every l of a nonzero ``T^{ij}_{kl}`` with i in it (``{s0}`` for a
-    flip-scaled T).  The nonzeros are listed per first letter j0 as ``(k0,
-    l0, i0, T^{i0 j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``;
-    the coefficients are real when the system is (:func:`_field`), and a real
-    coefficient 1 is None, which :func:`_add_rules` adds without a product.
-    """
-    key = ("walkspecies", system.content_key)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    n_sp = system.dim
-    t4 = system.cross.tensor()
-    if _field(system) is float:
-        t4 = t4.real
-    nonzeros = list(zip(*(idx.tolist() for idx in np.nonzero(t4))))
-    feeds = [{l0 for _, l0, i0, _ in nonzeros if i0 == s0} for s0 in range(n_sp)]
-    by_first = [[] for _ in range(n_sp)]
-    for k0, l0, i0, j0 in nonzeros:
-        coeff = t4[k0, l0, i0, j0]
-        by_first[j0].append((k0, l0, i0, None if t4.dtype == float and coeff == 1 else coeff))
-    out = []
-    for start in [{s0} for s0 in range(n_sp)] + [set(range(n_sp))]:
-        closed, todo = set(start), list(start)
-        while todo:
-            new = feeds[todo.pop()] - closed
-            closed |= new
-            todo.extend(new)
-        rules = tuple(tuple(rule for rule in row if rule[2] in closed) for row in by_first)
-        out.append((tuple(sorted(closed)), rules))
-    return _cache_put(key, tuple(out))
+    Fetched by :func:`_tower`, one per content, so shared by every system
+    with that content.  Built once:
 
+    - ``labels``, the block label of each letter: its own when T is graded
+      and B, if any, preserves content; otherwise every letter has label 0,
+      and each sector is one block.
+    - ``dtype``, ``float`` when no entry of T or B has an imaginary part,
+      and otherwise ``complex``: the dtype of the annihilation slices, Gram
+      blocks and ideal bases, so that a real system takes the real BLAS and
+      LAPACK routes at half the bytes.  A weight form whose imaginary parts
+      are rounding is made real (:func:`_weight_form`).  The operators
+      themselves keep their complex storage.
+    - ``species``: per species index s0, then for all species, the species
+      set needed and the T nonzeros read.  The set is the smallest one that
+      holds s0 (all, in the last entry) and every l of a nonzero
+      ``T^{ij}_{kl}`` with i in it (``{s0}`` for a flip-scaled T).  The
+      nonzeros are listed per first letter j0 as ``(k0, l0, i0, T^{i0
+      j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``; the
+      coefficients are real when ``dtype`` is, and a real coefficient 1 is
+      None, which :func:`_add_rules` adds without a product.
 
-class _Walk:
-    """The lookups of one recursion on the word blocks of sector ``floor``, read without locks.
-
-    The blocks are the system's own, grouped by the letter ``labels``
-    (:func:`_labels`).  :meth:`level` reads the heads, sizes and growth of a
-    sector and :meth:`slices` the annihilation slices of a degree ``<=
-    floor``; each takes the cache lock once per degree and call.
-    ``species[i0]`` is what ``A_i0`` needs of T (:func:`_walk_species`), and
-    ``dtype`` the system's field (:func:`_field`).
+    :meth:`level`, :meth:`slices` and :meth:`gram` are built on first use
+    and kept per degree; a kept degree is read without the lock.
     """
 
-    def __init__(self, system: StatisticsSystem, floor: int):
-        self.system, self.n_species, self.floor = system, system.dim, floor
-        self.labels, self.dtype = _labels(system), _field(system)
-        self.species = _walk_species(system)
-        self._levels = {}
-        self._slices = {}
+    def __init__(self, system: StatisticsSystem):
+        self.n_species = n_sp = system.dim
+        braid = system.braid
+        graded = is_graded(system.cross) and (braid is None or preserves_content(braid))
+        self.labels = tuple(range(n_sp)) if graded else (0,) * n_sp
+        parts = [system.cross.mat] + ([] if braid is None else [braid.mat])
+        self.dtype = complex if any(np.any(m.imag) for m in parts) else float
+        t4 = system.cross.tensor()
+        if self.dtype is float:
+            t4 = t4.real
+        nonzeros = list(zip(*(idx.tolist() for idx in np.nonzero(t4))))
+        feeds = [{l0 for _, l0, i0, _ in nonzeros if i0 == s0} for s0 in range(n_sp)]
+        by_first = [[] for _ in range(n_sp)]
+        for k0, l0, i0, j0 in nonzeros:
+            coeff = t4[k0, l0, i0, j0]
+            by_first[j0].append((k0, l0, i0, None if t4.dtype == float and coeff == 1 else coeff))
+        species = []
+        for start in [{s0} for s0 in range(n_sp)] + [set(range(n_sp))]:
+            closed, todo = set(start), list(start)
+            while todo:
+                new = feeds[todo.pop()] - closed
+                closed |= new
+                todo.extend(new)
+            rules = tuple(tuple(rule for rule in row if rule[2] in closed) for row in by_first)
+            species.append((tuple(sorted(closed)), rules))
+        self.species = tuple(species)
+        self._levels, self._slices, self._grams = {}, {}, {}
 
     def level(self, d: int) -> tuple:
-        """``(heads, sizes, grow)`` of sector d (:func:`_content_heads`), checked against the sector cap.
+        """``(heads, sizes, grow)`` of sector d (:func:`_content_heads`).
 
-        No word offsets are formed, so none for the degrees above ``floor``
-        that the walk passes through.
+        Checked against the sector cap on every call, kept or not.  No word
+        offsets are formed, so none for the degrees that a placed recursion
+        passes through.
         """
+        _sector_dim(self.n_species, d)
         found = self._levels.get(d)
         if found is None:
-            _sector_dim(self.n_species, d)
-            found = self._levels[d] = _content_heads(self.labels, d)[1:]
+            found = _cache_put(d, _content_heads(self.labels, d)[1:], self._levels)
         return found
 
-    def slices(self, m: int) -> tuple:
-        """The annihilation slices of sector ``1 <= m <= floor`` on the walk's blocks."""
+    def slices(self, m: int) -> tuple[tuple[np.ndarray | None, ...], ...]:
+        """Per word block c of sector m >= 1 (:func:`word_blocks`): ``A_i[c - e_i, c]`` at i0.
+
+        Letters that c lacks get None.  The rows of a slice are the block c -
+        e_i of sector m-1 that the head of letter i names, its columns the
+        words of c.  Block c's slices are one step of the recursion on its
+        identity over the slices of degree m-1: per first-letter run j of c,
+        the identity on column run j of slice j, plus ``T^{ij}_{kl}`` times
+        slice l of the run's tail block c - e_j in row run k and column run j
+        of slice i (:func:`_add_rules`), for every nonzero of T in the order
+        of ``np.nonzero(T)``.  The blocks are the tower's own (``labels``):
+        by letter content when T is graded (then row run k of block c - e_i
+        holds exactly the rows of slice l of block c - e_j), and otherwise
+        the whole sector, whose slices are the dense levels.
+        """
         found = self._slices.get(m)
-        if found is None:
-            found = self._slices[m] = _annihilation_slices(self.system, m)
-        return found
+        if found is not None:
+            return found
+        heads, sizes, _ = self.level(m)
+        for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
+            for _, lo, hi in runs.values():
+                _check_entries(hi - lo, size, "annihilation slice")
+        if m > 1:
+            tails = self.level(m - 1)[0]
+            prev = self.slices(m - 1)
+            rules = self.species[-1][1]
+        out = []
+        for runs, size in zip(heads, sizes):
+            slices = [None] * self.n_species
+            for i0, (_, lo, hi) in runs.items():
+                slices[i0] = np.zeros((hi - lo, size), dtype=self.dtype)
+            for j0, (p, lo, hi) in runs.items():
+                np.fill_diagonal(slices[j0][:, lo:hi], 1.0)
+                if m > 1:
+                    _add_rules(slices, rules[j0], prev[p], tails, runs, slice(lo, hi))
+            for mat in slices:
+                if mat is not None:
+                    mat.setflags(write=False)
+            out.append(tuple(slices))
+        return _cache_put(m, tuple(out), self._slices)
+
+    def gram(self, n: int) -> GramMatrix:
+        """The Gram matrix of sector n (:func:`gram_matrix`), its blocks built from sector n-1's."""
+        found = self._grams.get(n)
+        if found is not None:
+            return found
+        heads, sizes, _ = self.level(n)
+        if n == 0:
+            blocks = (np.ones((1, 1), dtype=self.dtype),)
+        else:
+            for size in sizes:  # refused before the recursion builds anything
+                _check_entries(size, size, "Gram block")
+            prev = self.gram(n - 1).blocks
+            blocks = []
+            for runs, size, slices in zip(heads, sizes, self.slices(n)):
+                block = np.empty((size, size), dtype=self.dtype)
+                for i0, (p, lo, hi) in runs.items():  # row run i0 is G_{n-1}[p] @ A_i[p, c]
+                    np.matmul(prev[p], slices[i0], out=block[lo:hi])
+                blocks.append(block)
+        for block in blocks:
+            block.setflags(write=False)
+        gram = GramMatrix(n=n, words=_content_partition(self.labels, n), blocks=tuple(blocks))
+        return _cache_put(n, gram, self._grams)
+
+
+def _tower(system: StatisticsSystem) -> _Tower:
+    """The :class:`_Tower` of the system's operator content, built on first use."""
+    key = ("tower", system.content_key)
+    tower = _cache_get(key)
+    return tower if tower is not None else _cache_put(key, _Tower(system))
 
 
 def _add_rules(out: list, rules: tuple, inner, tails: tuple, runs: dict, cols: slice) -> None:
     """Add ``T^{ij}_{kl} x^k (x) inner_l`` into ``out[i0]`` for the rules of one first-letter run.
 
     The one place where the recursion rule is written.  ``rules`` are the
-    nonzeros of the run's first letter j (:func:`_walk_species`), ``inner``
+    nonzeros of the run's first letter j (``_Tower.species``), ``inner``
     the result of ``A_l`` on the run's tails per species index (None where
     the tail block lacks the letter), ``tails`` the heads of sector m-1,
     ``runs`` the head of the word block, and ``cols`` the run's columns of
@@ -370,18 +389,19 @@ def _add_rules(out: list, rules: tuple, inner, tails: tuple, runs: dict, cols: s
 
 
 def _annihilate_placed(
-    walk: _Walk, m: int, b: int, rows: slice, block: np.ndarray | None, species: tuple
+    tower: _Tower, floor: int, m: int, b: int, rows: slice, block: np.ndarray | None,
+    species: tuple,
 ) -> list[np.ndarray | None]:
     """``A_l`` applied to a column block placed in word block b of sector m, for l in a species set.
 
     The block (``None``: the identity) fills positions ``rows`` of block b;
-    the other rows are zero.  ``species`` is an entry of ``walk.species``.
+    the other rows are zero.  ``species`` is an entry of ``tower.species``.
     Entry l of the result is ``A_l`` of the block on the rows of block ``b -
     e_l`` of sector m-1 (the head of letter l), for each l of the set whose
     letter block b holds, and None otherwise.  At degrees ``m <= floor`` the
     slices ``A_l[b - e_l, b]`` are read on those columns.  Above ``floor``
     the one-step recursion acts instead, adding into zeros allocated in the
-    field of the walk and the block, the entries of all species bounded
+    field of the tower and the block, the entries of all species bounded
     together by the entry cap.  The rows are split by the first-letter runs
     of block b, each live tail is annihilated one degree down in its block
     p, and ``A_i`` collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x)
@@ -391,19 +411,19 @@ def _annihilate_placed(
     the whole sector.
     """
     wanted, rules = species
-    out = [None] * walk.n_species
-    if m <= walk.floor:
-        found = walk.slices(m)[b]
+    out = [None] * tower.n_species
+    if m <= floor:
+        found = tower.slices(m)[b]
         for l0 in wanted:
             if found[l0] is not None:
                 out[l0] = found[l0][:, rows] if block is None else found[l0][:, rows] @ block
         return out
-    runs = walk.level(m)[0][b]
-    tails, below, _ = walk.level(m - 1)
+    runs = tower.level(m)[0][b]
+    tails, below, _ = tower.level(m - 1)
     width = rows.stop - rows.start if block is None else block.shape[1]
     targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
     _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
-    dtype = walk.dtype if block is None else np.result_type(walk.dtype, block)
+    dtype = tower.dtype if block is None else np.result_type(tower.dtype, block)
     for i0, p in targets:
         out[i0] = np.zeros((below[p], width), dtype=dtype)
     first, last = rows.start, rows.stop
@@ -424,34 +444,10 @@ def _annihilate_placed(
                 out[j0][tail:tail + part.shape[0]] += part
         if m == 1:
             continue
-        inner = _annihilate_placed(walk, m - 1, p, slice(tail, tail + stop - start), part, species)
+        inner = _annihilate_placed(tower, floor, m - 1, p, slice(tail, tail + stop - start), part,
+                                   species)
         _add_rules(out, rules[j0], inner, tails, runs, cols)
     return out
-
-
-def _gram(system: StatisticsSystem, n: int) -> GramMatrix:
-    """The cached Gram matrix of sector n, its blocks built from those of sector n-1."""
-    key = ("gram", system.content_key, n)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    labels = _labels(system)
-    _, heads, sizes, _ = _content_heads(labels, n)
-    if n == 0:
-        blocks = (np.ones((1, 1), dtype=_field(system)),)
-    else:
-        for size in sizes:  # refused before the recursion builds anything
-            _check_entries(size, size, "Gram block")
-        prev, dtype = _gram(system, n - 1).blocks, _field(system)
-        blocks = []
-        for runs, size, slices in zip(heads, sizes, _annihilation_slices(system, n)):
-            block = np.empty((size, size), dtype=dtype)
-            for i0, (p, lo, hi) in runs.items():  # row run i0 is G_{n-1}[p] @ A_i[p, c]
-                np.matmul(prev[p], slices[i0], out=block[lo:hi])
-            blocks.append(block)
-    for block in blocks:
-        block.setflags(write=False)
-    return _cache_put(key, GramMatrix(n=n, words=_content_partition(labels, n), blocks=blocks))
 
 
 def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
@@ -462,11 +458,12 @@ def gram_matrix(system: StatisticsSystem, n: int) -> GramMatrix:
     beginning with letter i have their tails in one block c - e_i of sector
     n-1, and ``A_i`` maps block c into it, so block c is the stack over i of
     ``G_{n-1}[c - e_i] @ A_i[c - e_i, c]``, rows in ascending word offset.
-    Only those slices are built (:func:`_annihilation_slices`); when the
-    sector is one block, they are the dense levels.
+    Only those slices are built (``_Tower.slices``); when the sector is one
+    block, they are the dense levels.  The blocks are kept in the tower of
+    the system's content (:func:`_tower`).
     """
     _sector_dim(system.dim, n)
-    return _gram(system, n)
+    return _tower(system).gram(n)
 
 
 def quotient_gram(system: StatisticsSystem, n: int,
@@ -483,41 +480,10 @@ def quotient_gram(system: StatisticsSystem, n: int,
     return GramMatrix(n=n, words=_column_ranges(blocks), blocks=blocks)
 
 
-def _labels(system: StatisticsSystem) -> tuple[int, ...]:
-    """The block label of each letter: its own when T is graded and B, if any, preserves content.
-
-    Otherwise every letter has label 0, and each sector is one block.
-    """
-    key = ("labels", system.content_key)
-    cached = _cache_get(key)
-    if cached is None:
-        braid = system.braid
-        graded = is_graded(system.cross) and (braid is None or preserves_content(braid))
-        cached = _cache_put(key, tuple(range(system.dim)) if graded else (0,) * system.dim)
-    return cached
-
-
-def _field(system: StatisticsSystem) -> type:
-    """``float`` when no entry of T or B has an imaginary part, and otherwise ``complex``.
-
-    The dtype of the system's annihilation slices, Gram blocks and ideal
-    bases, so that a real system takes the real BLAS and LAPACK routes at
-    half the bytes.  A weight form whose imaginary parts are rounding is
-    made real (:func:`_weight_form`).  The operators themselves keep their
-    complex storage.
-    """
-    key = ("field", system.content_key)
-    cached = _cache_get(key)
-    if cached is None:
-        parts = [system.cross.mat] + ([] if system.braid is None else [system.braid.mat])
-        cached = _cache_put(key, complex if any(np.any(m.imag) for m in parts) else float)
-    return cached
-
-
 def _content_heads(labels: tuple[int, ...], n: int) -> tuple:
     """The word blocks of sector n without their words: (counts, heads, sizes, grow).
 
-    ``labels[j0]`` is the label of letter j0 + 1 (:func:`_labels`).  A block
+    ``labels[j0]`` is the label of letter j0 + 1 (``_Tower.labels``).  A block
     holds the words with one count of each label, ``counts[b]``, and
     ``sizes[b]`` is its number of words.  Blocks are numbered in descending
     order of their count tuples (for distinct labels, ascending order of
@@ -583,7 +549,7 @@ def _content_partition(labels: tuple[int, ...], n: int) -> tuple[np.ndarray, ...
 def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem]:
     """The weight basis W of the system and the system in it, graded if possible.
 
-    A system graded as given, each letter with its own label (:func:`_labels`),
+    A system graded as given, each letter with its own label (:class:`_Tower`),
     is its own weight form, with ``W = 1``.  Otherwise T and B are moved to
     the basis of :func:`~wickforge.operators.weight_basis` and cut to the
     graded patterns (:func:`~wickforge.operators.graded_part`); the cut form
@@ -591,13 +557,13 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
     ``ROUNDING * max(1, max|T|, max|B|)``.  By the same rule, the imaginary
     parts of the cut form are dropped (:func:`~wickforge.operators.real_part`)
     when all of them are rounding, so that its arithmetic is real
-    (:func:`_field`).  A system without such a torus keeps ``W = 1`` and
+    (``_Tower.dtype``).  A system without such a torus keeps ``W = 1`` and
     itself, one block per sector.  Every basis-invariant verdict is taken on
     the form: Gram spectra and all quotient verdicts (:func:`_ideal_split`).
     Only the bases that the library returns are mapped back by ``W^(x)n``
     (:func:`_standard_basis`).
     """
-    if len(set(_labels(system))) == system.dim:
+    if len(set(_tower(system).labels)) == system.dim:
         return np.eye(system.dim), system
     key = ("weight", system.content_key)
     cached = _cache_get(key)
@@ -629,11 +595,11 @@ def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
 
     Each block is given by its ascending word offsets.  When T is graded and
     B (if any) preserves letter content, every letter has its own label
-    (:func:`_labels`) and these group the words by letter content: the Gram
+    (:class:`_Tower`) and these group the words by letter content: the Gram
     matrix, the ideal slice and its complement are then block-diagonal over
     them.  Otherwise the sector is one block, ``arange(N^n)``.
     """
-    return _content_partition(_labels(system), n)
+    return _content_partition(_tower(system).labels, n)
 
 
 def sector_spectrum(
@@ -732,7 +698,7 @@ def _ideal_split(system: StatisticsSystem, n: int, eps: float) -> tuple:
 
     The generators are the columns of ``id^(p-1) (x) (id - B) (x) id^(n-p-1)``
     over the insertion positions p.  They are formed in the weight basis
-    (:func:`_weight_form`), in its field (:func:`_field`), where each one stays
+    (:func:`_weight_form`), in its field (``_Tower.dtype``), where each one stays
     inside the word block of its column (:func:`word_blocks`), so the span and
     the complement are taken block by block
     (:func:`~wickforge.linalg.span_and_complement`), each with the rank cutoff
@@ -750,7 +716,7 @@ def _ideal_split(system: StatisticsSystem, n: int, eps: float) -> tuple:
     if cached is not None:
         return cached
     braid = form.braid.mat
-    gen = np.eye(n_sp * n_sp) - (braid.real if _field(form) is float else braid)
+    gen = np.eye(n_sp * n_sp) - (braid.real if _tower(form).dtype is float else braid)
     words = word_blocks(form, n)
     largest = max(block.size for block in words)
     _check_entries(largest, (n - 1) * largest, "ideal generator stack")
@@ -822,9 +788,9 @@ def _check_descends(system: StatisticsSystem, n: int, eps: float) -> None:
         return
     below = _ideal_split(system, n - 1, eps)
     w, form = _weight_form(system)
+    tower = _tower(form)
     letters = np.zeros(system.dim)  # r_p; np.maximum keeps a NaN
-    for (span_b, _), runs, slices in zip(split, _content_heads(_labels(form), n)[1],
-                                         _annihilation_slices(form, n)):
+    for (span_b, _), runs, slices in zip(split, tower.level(n)[0], tower.slices(n)):
         for p, (c, _, _) in runs.items():
             res = max_abs((dagger(below[c][1]) @ slices[p]) @ span_b)  # 0 for an empty span
             letters[p] = np.maximum(letters[p], res)
@@ -865,12 +831,13 @@ def descended_operators(
     else:
         below = _ideal_split(system, n - 1, eps)
         w, form = _weight_form(system)
+        tower = _tower(form)
         rows, cols = (np.cumsum([0] + [comp.shape[1] for _, comp in bases]).tolist()
                       for bases in (below, split))
         annihilation = np.zeros((rows[-1], cols[-1]), dtype=np.result_type(split[0][1], w))
         weights = w[i - 1].tolist()
         for b, ((_, comp_b), runs, slices) in enumerate(
-                zip(split, _content_heads(_labels(form), n)[1], _annihilation_slices(form, n))):
+                zip(split, tower.level(n)[0], tower.slices(n))):
             for p, (c, _, _) in runs.items():
                 if weights[p]:
                     annihilation[rows[c]:rows[c + 1], cols[b]:cols[b + 1]] += (

@@ -36,7 +36,7 @@ from .fock import (
     _content_partition,
     _scatter,
     _sector_dim,
-    _Walk,
+    _tower,
     annihilation_matrix,
 )
 from .linalg import DEFAULT_EPS, max_abs, resolve_eps
@@ -90,10 +90,6 @@ class OperatorExpression:
     @classmethod
     def unit(cls, coeff: complex = 1.0) -> "OperatorExpression":
         return cls({(): coeff})
-
-    @classmethod
-    def from_word(cls, word, coeff: complex = 1.0) -> "OperatorExpression":
-        return cls({tuple(word): coeff})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpression):
@@ -285,14 +281,7 @@ class _Parser:
             tok = self.peek()
             if tok is None:
                 break
-            if tok.kind == "plus":
-                sign = 1.0
-            elif tok.kind == "minus":
-                sign = -1.0
-            else:
-                raise ExpressionSyntaxError(
-                    f"expected '+' or '-', got {tok.text!r}", tok.pos
-                )
+            sign = -1.0 if tok.kind == "minus" else 1.0
             self.next()
         # Checked on the sums, which can overflow where no single term does.
         for word, c in terms.items():
@@ -572,8 +561,8 @@ def evaluation_blocks(
     """
     n_sp = system.dim
     _sector_dim(n_sp, n)
-    walk = _Walk(system, n)
-    level, species = walk.level, walk.species
+    tower = _tower(system)
+    level, species = tower.level, tower.species
     widths = level(n)[1]
     # Every target degree gets a block, even if all its terms die; the
     # entries of its pieces are bounded together, as its dense matrix is.
@@ -587,7 +576,7 @@ def evaluation_blocks(
         if key not in trailing:
             state = (None, c) if len(suffix) == 1 else settle(suffix[:-1], c)
             degree, i0 = n + 1 - len(suffix), suffix[-1]
-            found = None if state is None else walk.slices(degree)[state[1]][i0]
+            found = None if state is None else tower.slices(degree)[state[1]][i0]
             if found is None:
                 trailing[key] = None
             else:
@@ -628,9 +617,9 @@ def evaluation_blocks(
                     break
                 rows = slice(row, row + (width if mat is None else mat.shape[0]))
                 if degree > n:
-                    mat = _annihilate_placed(walk, degree, b, rows, mat, species[i0])[i0]
+                    mat = _annihilate_placed(tower, n, degree, b, rows, mat, species[i0])[i0]
                 else:
-                    found = walk.slices(degree)[b][i0]
+                    found = tower.slices(degree)[b][i0]
                     mat = None if found is None else (
                         found[:, rows] if mat is None else found[:, rows] @ mat)
                 if mat is None:  # block b lacks the letter
@@ -652,7 +641,7 @@ def evaluation_blocks(
     for held in pieces.values():
         for piece in held.values():
             piece.setflags(write=False)
-    return {target: EvaluationBlock(labels=walk.labels, target=target, n=n, pieces=held)
+    return {target: EvaluationBlock(labels=tower.labels, target=target, n=n, pieces=held)
             for target, held in pieces.items()}
 
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import sys
 from itertools import product
 
 import numpy as np
@@ -197,7 +198,7 @@ class TestEntryCap:
         monkeypatch.setattr(fock, "ENTRY_CAP", 27 * 81 - 1)
         with pytest.raises(SizeLimit, match="annihilation level of 27 x 81"):
             annihilation_matrix(phase3, 1, 4)
-        assert not any(key[0] == "annihilation" for key in fock._CACHE)
+        assert not fock._tower(phase3)._slices
         monkeypatch.setattr(fock, "ENTRY_CAP", 27 * 81)
         assert annihilation_matrix(phase3, 1, 4).shape == (27, 81)
 
@@ -288,7 +289,7 @@ def word_level(system, i, n):
     return oracle
 
 
-def placed_reference(system, walk, m, b, rows, block, levels):
+def placed_reference(system, tower, m, b, rows, block, levels):
     """Dense ``A_l`` of sector m on the block placed at positions rows of word block b, over l.
 
     Entry l0 is ``(inside, outside)``: the result on the words of block
@@ -297,8 +298,8 @@ def placed_reference(system, walk, m, b, rows, block, levels):
     dense levels of the system built so far, keyed by ``(l0, m)``.
     """
     n_sp = system.dim
-    offsets = np.arange(n_sp**m)[fock._content_partition(walk.labels, m)[b]]
-    below = fock._content_partition(walk.labels, m - 1)
+    offsets = np.arange(n_sp**m)[fock._content_partition(tower.labels, m)[b]]
+    below = fock._content_partition(tower.labels, m - 1)
     refs = []
     for l0 in range(n_sp):
         if (l0, m) not in levels:
@@ -306,7 +307,7 @@ def placed_reference(system, walk, m, b, rows, block, levels):
         full = levels[l0, m][:, offsets[rows]]
         if block is not None:
             full = full @ block
-        head = walk.level(m)[0][b].get(l0)
+        head = tower.level(m)[0][b].get(l0)
         inside = [] if head is None else np.arange(n_sp ** (m - 1))[below[head[0]]]
         refs.append((None if head is None else full[inside],
                      max_abs(np.delete(full, inside, axis=0))))
@@ -318,12 +319,16 @@ def assert_close(got, ref, what):
     assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref)), what
 
 
-def assert_placed(system, walk, m, b, rows, block, what, levels):
-    """Every species set of the walk against :func:`placed_reference`."""
-    refs = placed_reference(system, walk, m, b, rows, block, levels)
+def assert_placed(system, floor, m, b, rows, block, what, levels):
+    """Every species set of the system's tower against :func:`placed_reference`.
+
+    Slices are read at the degrees up to ``floor``.
+    """
+    tower = fock._tower(system)
+    refs = placed_reference(system, tower, m, b, rows, block, levels)
     scale = max(1.0, *(max_abs(inside) for inside, _ in refs if inside is not None))
-    for species in walk.species:
-        got = fock._annihilate_placed(walk, m, b, rows, block, species)
+    for species in tower.species:
+        got = fock._annihilate_placed(tower, floor, m, b, rows, block, species)
         for l0, (inside, outside) in enumerate(refs):
             assert outside <= 1e-12 * scale, what
             if l0 in species[0] and inside is not None:
@@ -332,14 +337,14 @@ def assert_placed(system, walk, m, b, rows, block, what, levels):
                 assert got[l0] is None, (what, l0)
 
 
-def creator_placements(walk, floor, m):
+def creator_placements(tower, floor, m):
     """``(c, b, row)`` for every source block c of sector floor and every creator word of length m - floor."""
     out = []
-    for c in range(len(walk.level(floor)[1])):
-        for letters in product(range(walk.n_species), repeat=m - floor):
+    for c in range(len(tower.level(floor)[1])):
+        for letters in product(range(tower.n_species), repeat=m - floor):
             b, row = c, 0
             for d, j0 in enumerate(letters, floor):
-                b, lo = walk.level(d + 1)[2][j0][b]
+                b, lo = tower.level(d + 1)[2][j0][b]
                 row += lo
             out.append((c, b, row))
     return out
@@ -360,11 +365,11 @@ class TestPlacedAnnihilation:
             levels = {}  # each dense level once per system
             for m in range(1, max_degree + 1):
                 floors = {m - 1, m // 2} | ({0} if n_species**m <= 81 else set())
+                tower = fock._tower(system)
                 for floor in floors:
-                    walk = fock._Walk(system, floor)
-                    for c, b, row in creator_placements(walk, floor, m):
-                        rows = slice(row, row + walk.level(floor)[1][c])
-                        assert_placed(system, walk, m, b, rows, None,
+                    for c, b, row in creator_placements(tower, floor, m):
+                        rows = slice(row, row + tower.level(floor)[1][c])
+                        assert_placed(system, floor, m, b, rows, None,
                                       (system.label, m, floor, b, row), levels)
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
@@ -374,8 +379,7 @@ class TestPlacedAnnihilation:
             levels = {}  # each dense level once per system
             for m in range(1, max_degree + 1):
                 for floor in sorted({0, m // 2, m - 1, m}):
-                    walk = fock._Walk(system, floor)
-                    heads, sizes, _ = walk.level(m)
+                    heads, sizes, _ = fock._tower(system).level(m)
                     b = int(rng.integers(len(sizes)))
                     runs, size = heads[b], sizes[b]
                     # a dense block of any height at any offset, straddling first letters
@@ -391,7 +395,7 @@ class TestPlacedAnnihilation:
                     sparse[:size // 2] = 0
                     for row_b, block in ((row, dense), (0, sparse)):
                         rows = slice(row_b, row_b + block.shape[0])
-                        assert_placed(system, walk, m, b, rows, block,
+                        assert_placed(system, floor, m, b, rows, block,
                                       (system.label, m, floor, b, row_b), levels)
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 9), (3, 6)])
@@ -402,9 +406,9 @@ class TestPlacedAnnihilation:
             # the oracle walks every rewrite path: keep dense-T paths short
             top = max_degree if is_graded(system.cross) else max_degree - 5 + n_species
             for m in range(1, top + 1):
-                walk = fock._Walk(system, 0)
-                blocks = fock._content_partition(walk.labels, m)
-                below = fock._content_partition(walk.labels, m - 1)
+                tower = fock._tower(system)
+                blocks = fock._content_partition(tower.labels, m)
+                below = fock._content_partition(tower.labels, m - 1)
                 for word_offset in rng.choice(n_species**m, 3):
                     word = sector_basis(n_species, m).basis[word_offset]
                     b, pos = next((b, int(np.flatnonzero(np.arange(n_species**m)[rows]
@@ -415,12 +419,12 @@ class TestPlacedAnnihilation:
                         ref = np.zeros(n_species ** (m - 1), dtype=complex)
                         for tail, c in annihilate_word(t4, l, word).items():
                             ref[word_index(tail, n_species)] += c
-                        got = fock._annihilate_placed(walk, m, b, slice(pos, pos + 1), None,
-                                                      walk.species[l - 1])[l - 1]
+                        got = fock._annihilate_placed(tower, 0, m, b, slice(pos, pos + 1), None,
+                                                      tower.species[l - 1])[l - 1]
                         if got is None:
                             assert max_abs(ref) == 0.0, (system.label, m, word, l)
                             continue
-                        inside = np.arange(n_species ** (m - 1))[below[walk.level(m)[0][b][l - 1][0]]]
+                        inside = np.arange(n_species ** (m - 1))[below[tower.level(m)[0][b][l - 1][0]]]
                         assert_close(got[:, 0], ref[inside], (system.label, m, word, l))
                         assert max_abs(np.delete(ref, inside)) <= 1e-12 * max(1.0, max_abs(ref))
 
@@ -428,17 +432,17 @@ class TestPlacedAnnihilation:
         rng = np.random.default_rng(41)
         # the last entry, every species, is what the annihilation slices read
         for system in graded_systems(3)[:-1]:  # the flip-scaled presets
-            assert ([wanted for wanted, _ in fock._walk_species(system)]
+            assert ([wanted for wanted, _ in fock._tower(system).species]
                     == [(0,), (1,), (2,), (0, 1, 2)])
         # twisted CCR: T^{ii}_{kk} != 0 for k < i, so A_2 needs A_1
-        assert [wanted for wanted, _ in fock._walk_species(twisted2)] == [(0,), (0, 1), (0, 1)]
+        assert [wanted for wanted, _ in fock._tower(twisted2).species] == [(0,), (0, 1), (0, 1)]
         rotated = haar_rotated(twisted2, rng)
-        assert [wanted for wanted, _ in fock._walk_species(rotated)] == [(0, 1)] * 3
+        assert [wanted for wanted, _ in fock._tower(rotated).species] == [(0, 1)] * 3
 
     def test_builds_no_level_above_the_floor(self, fresh_cache, boson2):
-        walk = fock._Walk(boson2, 2)
-        fock._annihilate_placed(walk, 8, 3, slice(5, 8), np.ones((3, 2)), walk.species[0])
-        built = {key[2] for key in fock._CACHE if key[0] == "annihilation"}
+        tower = fock._tower(boson2)
+        fock._annihilate_placed(tower, 2, 8, 3, slice(5, 8), np.ones((3, 2)), tower.species[0])
+        built = set(tower._slices)
         assert built and max(built) <= 2
 
 
@@ -461,14 +465,14 @@ class TestSliceStep:
     @pytest.mark.parametrize("n_species,max_degree", [(1, 8), (2, 8), (3, 5)])
     def test_slices_equal_the_placed_recursion(self, fresh_cache, n_species, max_degree):
         for system in self.systems(n_species):
+            tower = fock._tower(system)
             for m in range(1, max_degree + 1):
-                walk = fock._Walk(system, m - 1)
-                heads, sizes, _ = walk.level(m)
-                got = fock._annihilation_slices(system, m)
+                heads, sizes, _ = tower.level(m)
+                got = tower.slices(m)
                 assert len(got) == len(sizes)
                 for b, size in enumerate(sizes):
-                    want = fock._annihilate_placed(walk, m, b, slice(0, size), None,
-                                                   walk.species[-1])
+                    want = fock._annihilate_placed(tower, m - 1, m, b, slice(0, size), None,
+                                                   tower.species[-1])
                     for i0 in range(n_species):
                         assert same_bytes(got[b][i0], want[i0]), (system.label, m, b, i0)
                 if n_species**m <= 81:  # an independent route for the small sectors
@@ -482,8 +486,8 @@ class TestSliceStep:
         for system in self.systems(n_species):
             for n in range(1, max_degree + 1):
                 prev = gram_matrix(system, n - 1).blocks
-                heads = fock._content_heads(fock._labels(system), n)[1]
-                for runs, slices, block in zip(heads, fock._annihilation_slices(system, n),
+                tower = fock._tower(system)
+                for runs, slices, block in zip(tower.level(n)[0], tower.slices(n),
                                                gram_matrix(system, n).blocks):
                     want = np.vstack([prev[p] @ slices[i0] for i0, (p, _, _) in runs.items()])
                     assert same_bytes(block, want), (system.label, n)
@@ -492,7 +496,6 @@ class TestSliceStep:
         def refuse(*args):
             raise AssertionError("the placed recursion was called")
 
-        monkeypatch.setattr(fock, "_Walk", refuse)
         monkeypatch.setattr(fock, "_annihilate_placed", refuse)
         for system in (twisted2, haar_rotated(twisted2, np.random.default_rng(47))):
             gram_matrix(system, 6)
@@ -729,9 +732,9 @@ class TestLabels:
 
     def test_system_labels(self, fresh_cache, boson2):
         rotated = haar_rotated(boson2, np.random.default_rng(3))
-        assert fock._labels(boson2) == (0, 1)
-        assert fock._labels(rotated) == (0, 0)
-        assert fock._labels(make_preset("fermion", 1)) == (0,)
+        assert fock._tower(boson2).labels == (0, 1)
+        assert fock._tower(rotated).labels == (0, 0)
+        assert fock._tower(make_preset("fermion", 1)).labels == (0,)
 
 
 def braided_systems(n_species: int) -> list[StatisticsSystem]:
@@ -824,7 +827,7 @@ def cached_level_degrees(n_species: int) -> set[int]:
                 walk(item)
         elif isinstance(value, dict):
             walk(list(value.values()))
-        elif isinstance(value, GramMatrix):
+        elif isinstance(value, (GramMatrix, fock._Tower)):
             walk(list(vars(value).values()))
 
     walk(list(fock._CACHE.values()))
@@ -839,7 +842,7 @@ def level_route_spectrum(system: StatisticsSystem, degree: int) -> np.ndarray:
     and in its field.
     """
     form = fock._weight_form(system)[1]
-    grams = (np.ones((1, 1), dtype=fock._field(form)),)
+    grams = (np.ones((1, 1), dtype=fock._tower(form).dtype),)
     for m in range(1, degree + 1):
         size = form.dim ** (m - 1)
         prev_words = [np.arange(size)[rows] for rows in word_blocks(form, m - 1)]
@@ -882,10 +885,11 @@ class TestGramMemory:
                 descended_operators(system, i, n)
         annihilation_matrix(system, 2, 3)
         wick.evaluation_blocks(wick.parse_expression("a(1) a(2) c(2) c(3)", 3), system, 2)
-        keys = [key for key in fock._CACHE if key[0] == "annihilation"]
-        assert sorted(key[1:] for key in keys) == [(system.content_key, m) for m in range(1, 5)]
-        for key in keys:
-            assert len(fock._CACHE[key]) == len(content_blocks(3, key[2]))
+        built = {(key[1], m): slices for key, tower in fock._CACHE.items() if key[0] == "tower"
+                 for m, slices in tower._slices.items()}
+        assert sorted(built) == [(system.content_key, m) for m in range(1, 5)]
+        for (_, m), slices in built.items():
+            assert len(slices) == len(content_blocks(3, m))
 
 
 def rotated_twins(n_species: int, rng: np.random.Generator):
@@ -920,7 +924,7 @@ class TestWeightForm:
         rng = np.random.default_rng(17)
         for base, rotated in rotated_twins(n_species, rng):
             form = fock._weight_form(rotated)[1]
-            assert len(set(fock._labels(form))) == n_species, base.label
+            assert len(set(fock._tower(form).labels)) == n_species, base.label
             for degree in range(max_degree + 1):
                 want = sector_spectrum(base, degree)
                 got = sector_spectrum(rotated, degree)
@@ -1025,7 +1029,7 @@ def built_dtypes(system: StatisticsSystem, degree: int) -> set:
     """The dtypes of the cached slices of sectors 1..degree and Gram blocks of sectors 0..degree."""
     dtypes = {block.dtype for n in range(degree + 1) for block in gram_matrix(system, n).blocks}
     for m in range(1, degree + 1):
-        dtypes |= {mat.dtype for slices in fock._annihilation_slices(system, m)
+        dtypes |= {mat.dtype for slices in fock._tower(system).slices(m)
                    for mat in slices if mat is not None}
     return dtypes
 
@@ -1054,7 +1058,7 @@ class TestRealArithmetic:
         monkeypatch.setattr(fock, "span_and_complement", spy)
         for system in self.real_systems(n_species, np.random.default_rng(61)):
             form = fock._weight_form(system)[1]
-            assert fock._field(form) is float, system.label
+            assert fock._tower(form).dtype is float, system.label
             sector_spectrum(system, degree)
             assert built_dtypes(form, degree) == {np.dtype(float)}, system.label
             if system.braid is None:
@@ -1074,7 +1078,7 @@ class TestRealArithmetic:
                    haar_rotated(hermitian_q(4 * ROUNDING), rng), hermitian_q(1e-30)]
         for system in systems:
             form = fock._weight_form(system)[1]
-            assert fock._field(form) is complex, system.label
+            assert fock._tower(form).dtype is complex, system.label
             sector_spectrum(system, 3)
             assert built_dtypes(form, 3) == {np.dtype(complex)}, system.label
             if system.braid is not None:
@@ -1083,7 +1087,7 @@ class TestRealArithmetic:
         # below the rounding cut the weight form drops the imaginary part
         below = haar_rotated(hermitian_q(ROUNDING / 4), rng)
         form = fock._weight_form(below)[1]
-        assert fock._field(form) is float and not np.any(form.cross.mat.imag)
+        assert fock._tower(form).dtype is float and not np.any(form.cross.mat.imag)
         assert form.cross.mat.dtype == complex  # the operators keep complex storage
 
     @pytest.mark.parametrize("n_species,max_degree", [(2, 6), (3, 4)])
@@ -1106,7 +1110,7 @@ class TestRealArithmetic:
         rng = np.random.default_rng(73)
         for base in braided_systems(n_species)[:2]:
             for system in (base, haar_rotated(base, rng)):
-                assert fock._field(fock._weight_form(system)[1]) is float
+                assert fock._tower(fock._weight_form(system)[1]).dtype is float
                 for degree in range(6):
                     got = quotient_sector(system, degree).quotient.projector
                     want = dense_complement_projector(system, degree)
@@ -1584,11 +1588,34 @@ class TestReportsAndCaching:
         assert first is second
         assert not first.flags.writeable
 
+    def test_gram_blocks_are_a_tuple(self, fresh_cache, boson2):
+        # the cached Gram is shared, so its blocks must not be a list a caller can grow
+        for n in range(5):
+            assert isinstance(gram_matrix(boson2, n).blocks, tuple), n
+
     def test_cache_keyed_by_content_not_label(self, fresh_cache):
         a = make_preset("boson", 2)
         b = StatisticsSystem(cross=a.cross, braid=a.braid, label="renamed")
         assert a.content_key == b.content_key
         assert gram_matrix(a, 2).mat is gram_matrix(b, 2).mat
+        # one tower per content: evaluation and the quotient of the first
+        # system leave nothing for those of the second to add, graded or not
+        assert fock._tower(a) is fock._tower(b)
+        rotated = haar_rotated(a, np.random.default_rng(89))
+        twin = StatisticsSystem(cross=rotated.cross, braid=rotated.braid, label="renamed twin")
+        expr = wick.parse_expression("a(1) a(2) c(2) c(1) + c(2) a(1)", 2)
+
+        def session(system):
+            for n in range(4):
+                wick.evaluation_blocks(expr, system, n)
+                fock._check_descends(system, n, EPS)
+
+        for first, second in ((a, b), (rotated, twin)):
+            session(first)
+            keys = set(fock._CACHE)
+            session(second)
+            assert fock._tower(first) is fock._tower(second)
+            assert set(fock._CACHE) == keys, second.label
 
     def test_concurrent_sector_builds(self, fresh_cache):
         from concurrent.futures import ThreadPoolExecutor
@@ -1599,3 +1626,34 @@ class TestReportsAndCaching:
             grams = list(pool.map(lambda job: gram_matrix(*job).mat, jobs))
         for (system, degree), mat in zip(jobs, grams):
             assert max_abs(mat - gram_matrix(system, degree).mat) == 0.0
+        # evaluations and quotient checks on shared towers, whose per-degree
+        # tables every thread reads and grows, against sequential runs
+        fock.clear_cache()
+        rng = np.random.default_rng(97)
+        braided = [system for system, _ in acceptance_systems(2) if system.braid is not None]
+        systems = braided + [haar_rotated(system, rng) for system in braided]
+        expr = wick.parse_expression("a(1) a(2) c(2) c(1) + c(2) a(1) + a(2) c(1) c(1)", 2)
+        # each job twice in a row, so that two threads grow one tower at once
+        jobs = [(system, n) for system in systems for n in range(5) for _ in range(2)]
+
+        def work(job):
+            system, n = job
+            pieces = {(target, pair): (piece.dtype, piece.shape, piece.tobytes())
+                      for target, block in wick.evaluation_blocks(expr, system, n).items()
+                      for pair, piece in block.pieces.items()}
+            try:
+                fock._check_descends(system, n, EPS)
+                verdict = None
+            except NotWellDefined as exc:
+                verdict = str(exc)
+            return pieces, verdict
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(work, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        fock.clear_cache()
+        assert threaded == [work(job) for job in jobs]

@@ -448,14 +448,14 @@ class TestReferences:
         n = 3
         nf = normal_order(parse_expression("a(1) a(2) a(1) c(1) c(2) c(1)", 2), twisted2)
         reads = []
-        real = fock._Walk.slices
+        real = fock._Tower.slices
+        fock._tower(twisted2).slices(n)  # built first, so that only the reads are counted
 
-        def counted(walk, m):
-            if walk.floor == n:  # the slice builds walk with floors below n
-                reads.append(m)
-            return real(walk, m)
+        def counted(tower, m):
+            reads.append(m)
+            return real(tower, m)
 
-        monkeypatch.setattr(fock._Walk, "slices", counted)
+        monkeypatch.setattr(fock._Tower, "slices", counted)
         got = evaluation_blocks(nf, twisted2, n)
         counts = fock._content_heads((0, 1), n)[0]
 
@@ -511,7 +511,7 @@ class TestEvaluationMemory:
         for form in (expr, normal_order(expr, system)):
             fock.clear_cache()
             got = evaluation_blocks(form, system, n)
-            built = {key[2] for key in fock._CACHE if key[0] == "annihilation"}
+            built = set(fock._tower(system)._slices)
             assert max(built, default=0) <= n, sorted(built)
             ref = dense_blocks(form, system, n)
             assert set(got) == set(ref)
@@ -564,7 +564,7 @@ class TestEvaluationPieces:
             for n in range(4):
                 evaluation_blocks(expr, system, n)
                 evaluation_blocks(normal_order(expr, system), system, n)
-            sets = {key[2]: value for key, value in fock._CACHE.items() if key[0] == "annihilation"}
+            sets = fock._tower(system)._slices
             assert sets and all(len(value) == len(content_blocks(system.dim, m))
                                 for m, value in sets.items())
 
