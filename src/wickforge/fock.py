@@ -33,6 +33,8 @@ from .linalg import (
 )
 from .operators import (
     ROUNDING,
+    BraidOperator,
+    CrossOperator,
     StatisticsSystem,
     build_ttilde,
     change_basis,
@@ -242,9 +244,11 @@ class _Tower:
       LAPACK routes at half the bytes.  A weight form whose imaginary parts
       are rounding is made real (:func:`_weight_form`).  The operators
       themselves keep their complex storage.
-    - ``species``: per species index s0, then for all species, the species
-      set needed and the T nonzeros read.  The set is the smallest one that
-      holds s0 (all, in the last entry) and every l of a nonzero
+    - ``species`` (on first read, so that a system read only for its
+      labels, as :func:`_weight_form` reads a rotated one, skips it): per
+      species index s0, then for all species, the species set needed and
+      the T nonzeros read.  The set is the smallest one that holds s0 (all,
+      in the last entry) and every l of a nonzero
       ``T^{ij}_{kl}`` with i in it (``{s0}`` for a flip-scaled T).  The
       nonzeros are listed per first letter j0 as ``(k0, l0, i0, T^{i0
       j0}_{k0 l0})``, i0 in the set, in the order of ``np.nonzero``; the
@@ -262,7 +266,13 @@ class _Tower:
         self.labels = tuple(range(n_sp)) if graded else (0,) * n_sp
         parts = [system.cross.mat] + ([] if braid is None else [braid.mat])
         self.dtype = complex if any(np.any(m.imag) for m in parts) else float
-        t4 = system.cross.tensor()
+        self._cross = system.cross
+        self._levels, self._slices, self._grams = {}, {}, {}
+
+    @cached_property
+    def species(self) -> tuple:
+        n_sp = self.n_species
+        t4 = self._cross.tensor()
         if self.dtype is float:
             t4 = t4.real
         nonzeros = list(zip(*(idx.tolist() for idx in np.nonzero(t4))))
@@ -280,8 +290,7 @@ class _Tower:
                 todo.extend(new)
             rules = tuple(tuple(rule for rule in row if rule[2] in closed) for row in by_first)
             species.append((tuple(sorted(closed)), rules))
-        self.species = tuple(species)
-        self._levels, self._slices, self._grams = {}, {}, {}
+        return tuple(species)
 
     def level(self, d: int) -> tuple:
         """``(heads, sizes, grow)`` of sector d (:func:`_content_heads`).
@@ -554,11 +563,13 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
     the basis of :func:`~wickforge.operators.weight_basis` and cut to the
     graded patterns (:func:`~wickforge.operators.graded_part`); the cut form
     is accepted only when the entries it drops are rounding, at most
-    ``ROUNDING * max(1, max|T|, max|B|)``.  By the same rule, the imaginary
-    parts of the cut form are dropped (:func:`~wickforge.operators.real_part`)
-    when all of them are rounding, so that its arithmetic is real
-    (``_Tower.dtype``).  A system without such a torus keeps ``W = 1`` and
-    itself, one block per sector.  Every basis-invariant verdict is taken on
+    ``ROUNDING * max(1, max|T|, max|B|)``.  By the same rule, the entries of
+    the cut form that are rounding are zeroed, so that a rotated graded
+    system's form has the nonzeros of its graded twin, and the imaginary
+    parts are dropped (:func:`~wickforge.operators.real_part`) when all of
+    them are rounding, so that its arithmetic is real (``_Tower.dtype``).  A
+    system without such a torus keeps ``W = 1`` and itself, one block per
+    sector.  Every basis-invariant verdict is taken on
     the form: Gram spectra and all quotient verdicts (:func:`_ideal_split`).
     Only the bases that the library returns are mapped back by ``W^(x)n``
     (:func:`_standard_basis`).
@@ -573,12 +584,23 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
         tol = ROUNDING * max(1.0, max_abs(system.cross.mat),
                              0.0 if system.braid is None else max_abs(system.braid.mat))
         if dropped <= tol:
+            graded = _zero_rounding(graded, tol)
             real, imag = real_part(graded)
             cached = _cache_put(key, (w, real if imag <= tol else graded))
         else:
             cached = _cache_put(key, (np.eye(system.dim), None))
     w, form = cached
     return w, system if form is None else form
+
+
+def _zero_rounding(system: StatisticsSystem, tol: float) -> StatisticsSystem:
+    """The system with every entry of T and B of magnitude at most ``tol`` set to zero."""
+    def cut(op):
+        return np.where(np.abs(op.mat) <= tol, 0, op.mat)
+
+    braid = None if system.braid is None else BraidOperator(cut(system.braid))
+    return StatisticsSystem(cross=CrossOperator(cut(system.cross)), braid=braid,
+                            label=system.label)
 
 
 def _apply_tensor_power(w: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:

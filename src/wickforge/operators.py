@@ -114,11 +114,15 @@ class StatisticsSystem:
 
     @cached_property
     def content_key(self) -> str:
-        """Hash of the operator content (label excluded); keys the sector caches."""
-        payload = system_to_dict(self)
-        payload.pop("label", None)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """Hash of the operator content (label excluded); keys the sector caches.
+
+        The bytes of N, then of T's and B's matrices (a marker for no B),
+        with ``+ 0.0`` so that a zero entry hashes alike whatever its sign.
+        """
+        digest = hashlib.sha256(str(self.dim).encode())
+        for op in (self.cross, self.braid):
+            digest.update(b"none" if op is None else (op.mat + 0.0).tobytes())
+        return digest.hexdigest()
 
 
 def _mat_from_entries(dim: int, entries, what: str) -> np.ndarray:
@@ -229,32 +233,21 @@ _CROSS_SLOTS = (-1, 1, -1, 1)
 _BRAID_SLOTS = (-1, -1, 1, 1)
 
 
-def _transform(t4: np.ndarray, mats) -> np.ndarray:
-    """t4 with each axis a contracted against the rows of ``mats[a]``.
-
-    ``out[s, t, p, r] = sum mats[0][k, s] mats[1][l, t] mats[2][i, p]
-    mats[3][j, r] t4[k, l, i, j]``, one axis at a time.
-    """
-    for axis, mat in enumerate(mats):
-        t4 = np.moveaxis(np.tensordot(mat, t4, axes=([0], [axis])), 0, axis)
-    return t4
-
-
 def change_basis(system: StatisticsSystem, w: np.ndarray) -> StatisticsSystem:
     """The same statistics in the basis ``x'_p = sum_j w[j, p] x^j``, for a unitary w.
 
     E* transforms by ``conj(w)``: T's slots ``(k, l, i, j)`` by
-    ``(conj(w), w, conj(w), w)`` and B's by ``(conj(w), conj(w), w, w)``.
-    Every law, Gram spectrum and quotient dimension is unchanged.
+    ``(conj(w), w, conj(w), w)`` and B's by ``(conj(w), conj(w), w, w)``, so
+    the matrices become ``K^T T K`` with ``K = conj(w) (x) w`` and ``conj(w
+    (x) w)^T B (w (x) w)``.  Every law, Gram spectrum and quotient dimension
+    is unchanged.
     """
-    n = system.dim
-    moves = {-1: w.conj(), 1: w}
-    cross = _transform(system.cross.tensor(), [moves[s] for s in _CROSS_SLOTS])
+    pair = np.kron(w, w)
+    mixed = np.kron(w.conj(), w)
     braid = None
     if system.braid is not None:
-        braid = BraidOperator(_transform(system.braid.tensor(),
-                                         [moves[s] for s in _BRAID_SLOTS]).reshape(n * n, n * n))
-    return StatisticsSystem(cross=CrossOperator(cross.reshape(n * n, n * n)),
+        braid = BraidOperator(pair.conj().T @ system.braid.mat @ pair)
+    return StatisticsSystem(cross=CrossOperator(mixed.T @ system.cross.mat @ mixed),
                             braid=braid, label=system.label)
 
 
@@ -271,19 +264,18 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return np.array(basis)
 
 
-def _derivation_rows(t4: np.ndarray, acts, s: int) -> np.ndarray:
-    """Entries ``[m, s, :, :, :]`` of the derivation of t4 by each basis element X_m.
+def _derivation_rows(t4: np.ndarray, acts, chunk: slice) -> np.ndarray:
+    """Entries ``[m, s, :, :, :]``, s in ``chunk``, of the derivation of t4 by each X_m.
 
     ``acts[a][m]`` is the matrix that slot a of t4 is contracted against:
     ``-conj(X_m)`` for a slot that transforms by conj(u), ``+X_m`` for one that
-    transforms by u.  One row per output entry whose first index is s.
+    transforms by u.  One row per output entry whose first index is in the chunk.
     """
-    n = t4.shape[0]
-    head = t4[s]
-    d = (acts[0][:, :, s] @ t4.reshape(n, -1)).reshape(-1, n, n, n)
-    d += np.tensordot(acts[1], head, axes=([1], [0]))
-    d += np.tensordot(acts[2], head, axes=([1], [1])).transpose(0, 2, 1, 3)
-    d += np.tensordot(acts[3], head, axes=([1], [2])).transpose(0, 2, 3, 1)
+    head = t4[chunk]
+    d = np.tensordot(acts[0][:, :, chunk], t4, axes=([1], [0]))
+    d += np.tensordot(acts[1], head, axes=([1], [1])).transpose(0, 2, 1, 3, 4)
+    d += np.tensordot(acts[2], head, axes=([1], [2])).transpose(0, 2, 3, 1, 4)
+    d += np.tensordot(acts[3], head, axes=([1], [3])).transpose(0, 2, 3, 4, 1)
     return d.reshape(len(d), -1)
 
 
@@ -303,14 +295,17 @@ def symmetry_generators(system: StatisticsSystem) -> np.ndarray:
     ops = [(system.cross.tensor(), _CROSS_SLOTS)]
     if system.braid is not None:
         ops.append((system.braid.tensor(), _BRAID_SLOTS))
-    # The equations arrive N^3 complex rows at a time and only the triangular
-    # factor of their stack is kept: its singular values and right singular
-    # vectors are those of the whole stack, without holding N^4 x N^2 entries.
+    # The equations arrive for as many first indices s at a time as keep the
+    # N^2 x (s N^3) complex rows within _CHUNK_ENTRIES (all of them up to
+    # N = 10), and only the triangular factor of their stack is kept: its
+    # singular values and right singular vectors are those of the whole
+    # stack, without holding N^4 x N^2 entries.
+    width = max(1, _CHUNK_ENTRIES // n**5)
     tri = np.zeros((0, n * n))
     for t4, slots in ops:
         acts = [sign * (herm.conj() if sign < 0 else herm) for sign in slots]
-        for s in range(n):
-            rows = _derivation_rows(t4, acts, s)
+        for start in range(0, n, width):
+            rows = _derivation_rows(t4, acts, slice(start, start + width))
             tri = np.linalg.qr(np.vstack([tri, rows.real.T, rows.imag.T]), mode="r")
     sv, vh = np.linalg.svd(tri)[1:]
     null = vh[np.count_nonzero(sv > ROUNDING * max(1.0, sv[0])):]
@@ -369,7 +364,8 @@ def check_yang_baxter(ttilde: np.ndarray, eps: float | None = None) -> tuple[boo
     return residual <= eps, residual
 
 
-#: Entries of one column chunk in :func:`_three_slot_residual` (16 MB complex).
+#: Entries of one chunk of complex work arrays (16 MB): the columns of
+#: :func:`_three_slot_residual` and the rows of :func:`symmetry_generators`.
 _CHUNK_ENTRIES = 2**20
 
 
@@ -583,13 +579,15 @@ def _entry_rows(rows, what: str) -> list[tuple]:
         )
     entries = []
     for row in rows:
-        if (isinstance(row, list) and len(row) == 6
-                and all(_is_int(x) for x in row[:4]) and all(_is_real(x) for x in row[4:])):
-            try:
-                entries.append((*row[:4], complex(row[4], row[5])))
-                continue
-            except OverflowError:  # integers beyond the float range
-                pass
+        if isinstance(row, list) and len(row) == 6:
+            i, j, k, l, re, im = row
+            if (_is_int(i) and _is_int(j) and _is_int(k) and _is_int(l)
+                    and _is_real(re) and _is_real(im)):
+                try:
+                    entries.append((i, j, k, l, complex(re, im)))
+                    continue
+                except OverflowError:  # integers beyond the float range
+                    pass
         raise ValueError(
             f"malformed operator file: {what} row {row!r} is not "
             f"[i, j, k, l, re, im] with integer indices and real numbers"

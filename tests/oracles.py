@@ -4,7 +4,8 @@ Everything here is deliberately brute force and shares no code path with the
 package: the flip matrix, Kronecker products (by numpy and by index loops),
 word offsets and letter-content groups by enumeration, permutation sums for
 Gram entries, the textbook q-factorial, normal ordering summed over rewrite
-paths, and annihilation applied word by word.
+paths, annihilation applied word by word, and the symmetry generators of T
+and B solved one first index at a time.
 """
 
 from __future__ import annotations
@@ -204,3 +205,40 @@ def preset_qmat(name: str, n_species: int, q: float | None = None,
     if name == "phase":
         return np.exp(1j * np.asarray(phi, dtype=float))
     raise ValueError(name)
+
+
+def symmetry_generators_oracle(t4s: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
+    """Hermitian X whose derivation kills every ``(t4, slots)``, one first index s at a time.
+
+    ``slots[a]`` is -1 where tensor axis a transforms by conj(u) and +1 where
+    it transforms by u.  X runs over the n x n Hermitian matrices, orthonormal
+    under ``Re tr(a^* b)``; per operator and per s, the rows ``[m, s, :, :, :]``
+    of the derivation by each basis element (``-conj(X_m)`` on a -1 slot, X_m
+    on a +1 slot) are split into real and imaginary parts and folded into the
+    triangular factor of a QR, and the null space is read off one SVD of it,
+    cut at ``1e3 * eps * max(1, sigma_max)``.  Returns the ``(d, n, n)`` stack.
+    """
+    n = t4s[0][0].shape[0]
+    herm = []
+    for a in range(n):
+        for b in range(a, n):
+            for value in ((1.0,) if a == b else (2**-0.5, 1j * 2**-0.5)):
+                mat = np.zeros((n, n), dtype=complex)
+                mat[a, b] = value
+                mat[b, a] = np.conj(value)
+                herm.append(mat)
+    herm = np.array(herm)
+    tri = np.zeros((0, n * n))
+    for t4, slots in t4s:
+        acts = [sign * (herm.conj() if sign < 0 else herm) for sign in slots]
+        for s in range(n):
+            head = t4[s]
+            d = (acts[0][:, :, s] @ t4.reshape(n, -1)).reshape(-1, n, n, n)
+            d += np.tensordot(acts[1], head, axes=([1], [0]))
+            d += np.tensordot(acts[2], head, axes=([1], [1])).transpose(0, 2, 1, 3)
+            d += np.tensordot(acts[3], head, axes=([1], [2])).transpose(0, 2, 3, 1)
+            rows = d.reshape(len(d), -1)
+            tri = np.linalg.qr(np.vstack([tri, rows.real.T, rows.imag.T]), mode="r")
+    sv, vh = np.linalg.svd(tri)[1:]
+    null = vh[np.count_nonzero(sv > 1e3 * np.finfo(float).eps * max(1.0, sv[0])):]
+    return np.einsum("dm,mab->dab", null, herm)

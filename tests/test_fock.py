@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from wickforge import fock, wick
+from wickforge import fock, operators, wick
 from wickforge.catalog import make_preset
 from wickforge.errors import NoBraid, NotHermitian, NotWellDefined, SizeLimit
 from wickforge.fock import (
@@ -37,6 +37,7 @@ from wickforge.operators import (
     is_graded,
     load_system,
     preserves_content,
+    symmetry_generators,
 )
 
 from conftest import (
@@ -44,7 +45,7 @@ from conftest import (
 )
 from oracles import (
     annihilate_word, content_blocks, flip_matrix, perm_gram, perm_gram_entry, q_factorial,
-    word_index,
+    symmetry_generators_oracle, word_index,
 )
 
 EPS = 1e-9
@@ -971,6 +972,20 @@ class TestWeightForm:
             assert max_abs(comp @ dagger(comp)
                            - dense_complement_projector(system, degree)) <= 1e-10
 
+    @pytest.mark.parametrize("n_species", [2, 3])
+    def test_rotated_form_has_its_twins_sparsity(self, fresh_cache, n_species):
+        # Rounding-level entries of the cut are zeroed, so the form carries no
+        # extra recursion rule and no wider species set than its graded twin.
+        def shape(system):
+            nonzeros = [np.count_nonzero(op.mat) for op in (system.cross, system.braid)
+                        if op is not None]
+            return nonzeros, sum(len(rules) for rules in fock._tower(system).species[-1][1])
+
+        rng = np.random.default_rng(73)
+        for base, rotated in rotated_twins(n_species, rng):
+            form = fock._weight_form(rotated)[1]
+            assert shape(form) == shape(base), base.label
+
     def test_rotated_cross_breaking_star_law_is_not_hermitian(self, fresh_cache):
         qmat = np.array([[0.3, 0.5], [0.2, -0.4]])  # q_12 != conj(q_21)
         t4 = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -1013,6 +1028,36 @@ class TestWeightForm:
         for _ in range(degree):
             power = np.kron(power, w)
         assert max_abs(fock._apply_tensor_power(w, mat, degree) - power @ mat) <= 1e-13
+
+
+def generator_projector(gens: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the real span of a stack of matrices, in real coordinates."""
+    basis = np.linalg.qr(np.hstack([gens.real.reshape(len(gens), -1),
+                                    gens.imag.reshape(len(gens), -1)]).T)[0]
+    return basis @ basis.T
+
+
+class TestSymmetryGenerators:
+    """The chunked torus solve spans what the per-first-index QR stream spans."""
+
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    @pytest.mark.parametrize("n_species", [1, 2, 3, 4])
+    def test_span_matches_per_index_stream(self, monkeypatch, n_species, width):
+        if width is not None:  # chunks of `width` first indices, the last one shorter at N = 3
+            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", width * n_species**5)
+        rng = np.random.default_rng(79)
+        systems = (graded_systems(n_species) + [multi_q(n_species, rng)]
+                   + [rotated for _, rotated in rotated_twins(n_species, rng)]
+                   + [generic_system(n_species, rng)])
+        for system in systems:
+            ops = [(system.cross.tensor(), (-1, 1, -1, 1))]
+            if system.braid is not None:
+                ops.append((system.braid.tensor(), (-1, -1, 1, 1)))
+            want = symmetry_generators_oracle(ops)
+            got = symmetry_generators(system)
+            assert got.shape == want.shape, system.label
+            assert max_abs(generator_projector(got) - generator_projector(want)) <= 1e-12, (
+                system.label)
 
 
 def hermitian_q(imag: float) -> StatisticsSystem:

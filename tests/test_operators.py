@@ -482,6 +482,65 @@ class TestOperatorFile:
         assert np.array_equal(system.cross.mat, np.zeros((4, 4)))
 
 
+class TestContentKey:
+    """The cache key hashes the operator content: N, then T's and B's bytes."""
+
+    def test_round_trip_keeps_the_key(self, tmp_path):
+        for system in (make_preset("phase", 3, phi=0.7), make_preset("quon", 2, q=0.5),
+                       twisted_ccr(3, 0.6)):
+            path = tmp_path / "system.json"
+            path.write_text(dump_system(system))
+            assert load_system(path).content_key == system.content_key, system.label
+
+    def test_signed_zero_entry_is_an_absent_one(self):
+        base = {"dim": 2, "cross": [[1, 2, 2, 1, 0.5, 0.0]], "braid": None, "label": ""}
+        zero = {**base, "cross": base["cross"] + [[1, 1, 1, 1, 0.0, -0.0]]}
+        negative = {**base, "cross": [[1, 2, 2, 1, 0.5, -0.0]]}
+        keys = {system_from_dict(data).content_key for data in (base, zero, negative)}
+        assert len(keys) == 1
+
+    def test_content_changes_the_key_and_the_label_does_not(self):
+        phase = make_preset("phase", 2, phi=0.7)
+        others = [
+            make_preset("phase", 2, phi=0.8),
+            StatisticsSystem(cross=phase.cross),
+            StatisticsSystem(cross=phase.cross, braid=BraidOperator(np.zeros((4, 4)))),
+            make_preset("phase", 3, phi=0.7),
+            make_preset("boson", 2),
+        ]
+        keys = [system.content_key for system in [phase] + others]
+        assert len(set(keys)) == len(keys)
+        relabelled = StatisticsSystem(cross=phase.cross, braid=phase.braid, label="other")
+        assert relabelled.content_key == phase.content_key
+
+
+class TestLoaderMessages:
+    """A file with several bad rows names the first one in file order."""
+
+    GOOD = [1, 1, 1, 1, 1.0, 0.0]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([GOOD, [1, 2, 1, 3, 1.0, 0.0], [1, 1, 1, 1, 2.0, 0.0], [0, 1, 1, 1, 1.0, 0.0]],
+         "cross entry index 3 out of range 1..2 in (1, 2, 1, 3, (1+0j))"),
+        ([GOOD, [2, 1, 1, 2, 1.0, 0.0], [1, 1, 1, 1, 2.0, 0.0], [1, 1, 1, 3, 1.0, 0.0]],
+         "duplicate cross entry for indices (1, 1, 1, 1)"),
+        ([GOOD, [1, 1, 2**70, 1, 1.0, 0.0], [1, 1, 1, 1, 2.0, 0.0]],
+         f"cross entry index {2**70} out of range 1..2 in (1, 1, {2**70}, 1, (1+0j))"),
+        ([GOOD, [1, True, 1, 1, 1.0, 0.0], [1, 1, 1, 3, 1.0, 0.0]],
+         "malformed operator file: cross row [1, True, 1, 1, 1.0, 0.0] is not "
+         "[i, j, k, l, re, im] with integer indices and real numbers"),
+        ([GOOD, [2, 2, 2, 2, 10**400, 0.0], [1, 1, 1, 1, 2.0, 0.0]],
+         f"malformed operator file: cross row [2, 2, 2, 2, {10**400}, 0.0] is not "
+         "[i, j, k, l, re, im] with integer indices and real numbers"),
+    ], ids=["out-of-range", "duplicate", "index-overflow", "bool-index", "value-overflow"])
+    def test_first_bad_row_is_named(self, tmp_path, rows, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "cross": rows, "braid": None}))
+        with pytest.raises(ValueError) as info:
+            load_system(path)
+        assert str(info.value) == message
+
+
 def test_system_dim_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         StatisticsSystem(cross=CrossOperator(flip_matrix(2)),
