@@ -56,7 +56,7 @@ ENTRY_CAP = 2**24
 Word = tuple[int, ...]
 
 _CACHE_LOCK = threading.Lock()
-_CACHE: dict[tuple, object] = {}
+_CACHE: dict[str, _Tower] = {}
 
 
 def clear_cache() -> None:
@@ -64,12 +64,7 @@ def clear_cache() -> None:
         _CACHE.clear()
 
 
-def _cache_get(key):
-    with _CACHE_LOCK:
-        return _CACHE.get(key)
-
-
-def _cache_put(key, value, table: dict = _CACHE):
+def _cache_put(key, value, table: dict):
     with _CACHE_LOCK:
         return table.setdefault(key, value)
 
@@ -222,7 +217,7 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
     heads = tower.level(n)[0]
     if len(heads) == 1:
         return tower.slices(n)[0][i - 1]
-    below, words = _content_partition(tower.labels, n - 1), _content_partition(tower.labels, n)
+    below, words = tower.words(n - 1), tower.words(n)
     # Lazy, so that the slices are built only once the level passes the cap.
     parts = ((below[runs[i - 1][0]], words[b], tower.slices(n)[b][i - 1])
              for b, runs in enumerate(heads) if i - 1 in runs)
@@ -230,10 +225,10 @@ def annihilation_matrix(system: StatisticsSystem, i: int, n: int) -> np.ndarray:
 
 
 class _Tower:
-    """The per-degree state of the Fock representation of one operator content.
+    """The state of the Fock representation of one operator content, its one owner.
 
     Fetched by :func:`_tower`, one per content, so shared by every system
-    with that content.  Built once:
+    with that content; ``_CACHE`` holds nothing else.  Built once:
 
     - ``labels``, the block label of each letter: its own when T is graded
       and B, if any, preserves content; otherwise every letter has label 0,
@@ -255,8 +250,8 @@ class _Tower:
       coefficients are real when ``dtype`` is, and a real coefficient 1 is
       None, which :func:`_add_rules` adds without a product.
 
-    :meth:`level`, :meth:`slices` and :meth:`gram` are built on first use
-    and kept per degree; a kept degree is read without the lock.
+    Then tables, built on first use and read without the lock: per degree
+    :meth:`level`, :meth:`words`, :meth:`slices` and :meth:`gram`, and verdicts.
     """
 
     def __init__(self, system: StatisticsSystem):
@@ -267,7 +262,8 @@ class _Tower:
         parts = [system.cross.mat] + ([] if braid is None else [braid.mat])
         self.dtype = complex if any(np.any(m.imag) for m in parts) else float
         self._cross = system.cross
-        self._levels, self._slices, self._grams = {}, {}, {}
+        self._levels, self._words, self._slices, self._grams = {}, {}, {}, {}
+        self._weight, self._spectra, self._ideals = {}, {}, {}
 
     @cached_property
     def species(self) -> tuple:
@@ -293,7 +289,7 @@ class _Tower:
         return tuple(species)
 
     def level(self, d: int) -> tuple:
-        """``(heads, sizes, grow)`` of sector d (:func:`_content_heads`).
+        """``(heads, sizes, grow, counts)`` of sector d, grown from d-1's (:func:`_content_heads`).
 
         Checked against the sector cap on every call, kept or not.  No word
         offsets are formed, so none for the degrees that a placed recursion
@@ -301,9 +297,14 @@ class _Tower:
         """
         _sector_dim(self.n_species, d)
         found = self._levels.get(d)
-        if found is None:
-            found = _cache_put(d, _content_heads(self.labels, d)[1:], self._levels)
-        return found
+        return found if found is not None else _cache_put(
+            d, _content_heads(self.labels, self.level(d - 1) if d else None), self._levels)
+
+    def words(self, d: int) -> tuple[np.ndarray, ...]:
+        """Word offsets of the blocks of sector d, grown from d-1's (:func:`_content_partition`)."""
+        found = self._words.get(d)
+        return found if found is not None else _cache_put(
+            d, _content_partition(self.level(d)[0], self.words(d - 1) if d else None), self._words)
 
     def slices(self, m: int) -> tuple[tuple[np.ndarray | None, ...], ...]:
         """Per word block c of sector m >= 1 (:func:`word_blocks`): ``A_i[c - e_i, c]`` at i0.
@@ -323,7 +324,7 @@ class _Tower:
         found = self._slices.get(m)
         if found is not None:
             return found
-        heads, sizes, _ = self.level(m)
+        heads, sizes = self.level(m)[:2]
         for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
             for _, lo, hi in runs.values():
                 _check_entries(hi - lo, size, "annihilation slice")
@@ -351,7 +352,7 @@ class _Tower:
         found = self._grams.get(n)
         if found is not None:
             return found
-        heads, sizes, _ = self.level(n)
+        heads, sizes = self.level(n)[:2]
         if n == 0:
             blocks = (np.ones((1, 1), dtype=self.dtype),)
         else:
@@ -366,15 +367,14 @@ class _Tower:
                 blocks.append(block)
         for block in blocks:
             block.setflags(write=False)
-        gram = GramMatrix(n=n, words=_content_partition(self.labels, n), blocks=tuple(blocks))
+        gram = GramMatrix(n=n, words=self.words(n), blocks=tuple(blocks))
         return _cache_put(n, gram, self._grams)
 
 
 def _tower(system: StatisticsSystem) -> _Tower:
     """The :class:`_Tower` of the system's operator content, built on first use."""
-    key = ("tower", system.content_key)
-    tower = _cache_get(key)
-    return tower if tower is not None else _cache_put(key, _Tower(system))
+    tower = _CACHE.get(system.content_key)
+    return tower if tower is not None else _cache_put(system.content_key, _Tower(system), _CACHE)
 
 
 def _add_rules(out: list, rules: tuple, inner, tails: tuple, runs: dict, cols: slice) -> None:
@@ -428,7 +428,7 @@ def _annihilate_placed(
                 out[l0] = found[l0][:, rows] if block is None else found[l0][:, rows] @ block
         return out
     runs = tower.level(m)[0][b]
-    tails, below, _ = tower.level(m - 1)
+    tails, below = tower.level(m - 1)[:2]
     width = rows.stop - rows.start if block is None else block.shape[1]
     targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
     _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
@@ -489,33 +489,28 @@ def quotient_gram(system: StatisticsSystem, n: int,
     return GramMatrix(n=n, words=_column_ranges(blocks), blocks=blocks)
 
 
-def _content_heads(labels: tuple[int, ...], n: int) -> tuple:
-    """The word blocks of sector n without their words: (counts, heads, sizes, grow).
+def _content_heads(labels: tuple[int, ...], prev: tuple | None) -> tuple:
+    """The word blocks of sector n without their words: (heads, sizes, grow, counts).
 
     ``labels[j0]`` is the label of letter j0 + 1 (``_Tower.labels``).  A block
     holds the words with one count of each label, ``counts[b]``, and
     ``sizes[b]`` is its number of words.  Blocks are numbered in descending
-    order of their count tuples (for distinct labels, ascending order of
-    their sorted-letter tuples).  Sector n grows from sector n-1: the word
-    ``x^j (x) w`` has the counts of w plus one of the label of j, and the
-    words of block p with letter j0 + 1 prepended form one run of the block
-    of those counts.  The head ``{j0: (p, lo, hi)}`` of a block says that
-    its words beginning with letter j0 + 1 sit at positions ``lo:hi`` of the
-    block (ascending offsets put them in one run), and that their tails are
-    the words of block p of sector n-1, in the same order.  ``grow[j0][p] =
-    (b, lo)`` inverts the heads: letter j0 + 1 prepended to block p of
-    sector n-1 gives the run of block b that starts at ``lo`` (None at n =
-    0).  With every label 0 the sector is one block of ``N^n`` words, with
-    the head ``{j0: (0, j0 N^(n-1), (j0 + 1) N^(n-1))}``.
+    order of their count tuples (for distinct labels, ascending order of their
+    sorted-letter tuples).  Sector n grows from ``prev``, sector n-1's tuple
+    (None at n = 0): the word ``x^j (x) w`` has the counts of w plus one of the
+    label of j, and the words of block p with letter j0 + 1 prepended form one
+    run of the block of those counts.  The head ``{j0: (p, lo, hi)}`` of a
+    block says that its words beginning with letter j0 + 1 sit at positions
+    ``lo:hi`` of the block (ascending offsets put them in one run), and that
+    their tails are the words of block p of sector n-1, in the same order.
+    ``grow[j0][p] = (b, lo)`` inverts the heads: letter j0 + 1 prepended to
+    block p of sector n-1 gives the run of block b that starts at ``lo`` (None
+    at n = 0).  With every label 0 the sector is one block of ``N^n`` words,
+    with the head ``{j0: (0, j0 N^(n-1), (j0 + 1) N^(n-1))}``.
     """
-    key = ("heads", labels, n)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    _sector_dim(len(labels), n)
-    if n == 0:
-        return _cache_put(key, (((0,) * (max(labels) + 1),), ({},), (1,), None))
-    prev_counts, _, prev_sizes, _ = _content_heads(labels, n - 1)
+    if prev is None:
+        return ({},), (1,), None, ((0,) * (max(labels) + 1),)
+    _, prev_sizes, _, prev_counts = prev
     grown = [[c[:k] + (c[k] + 1,) + c[k + 1:] for c in prev_counts] for k in labels]
     counts = sorted({c for row in grown for c in row}, reverse=True)
     index = {c: b for b, c in enumerate(counts)}
@@ -528,35 +523,38 @@ def _content_heads(labels: tuple[int, ...], n: int) -> tuple:
             heads[b][j0] = (p, fill[b], fill[b] + prev_sizes[p])
             grow[j0][p] = (b, fill[b])
             fill[b] += prev_sizes[p]
-    return _cache_put(key, (tuple(counts), heads, tuple(fill), grow))
+    return heads, tuple(fill), grow, tuple(counts)
 
 
-def _content_partition(labels: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
+def _content_partition(heads: tuple, prev: tuple | None) -> tuple[np.ndarray, ...]:
     """Word offsets of the blocks of sector n (:func:`_content_heads`), ascending in each block.
 
-    Run j0 of block b holds the words of its block p of sector n-1 with
-    letter j0 + 1 prepended, that is the offsets of block p plus ``j0 *
-    N^(n-1)``, so the runs in order give the ascending offsets of block b.
+    Run j0 of block b holds the words of block p of ``prev``, sector n-1's
+    (None at n = 0), with letter j0 + 1 prepended: the offsets of block p plus
+    ``j0 * N^(n-1)``, so the runs in order give the ascending offsets.
     """
-    key = ("blocks", labels, n)
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-    heads = _content_heads(labels, n)[1]
-    if n == 0:
+    if prev is None:
         blocks = (np.zeros(1, dtype=np.intp),)
     else:
-        prev = _content_partition(labels, n - 1)
-        size = len(labels) ** (n - 1)
+        size = sum(map(len, prev))  # N^(n-1)
         blocks = tuple(np.concatenate([j0 * size + prev[p] for j0, (p, _, _) in runs.items()])
                        for runs in heads)
     for arr in blocks:
         arr.setflags(write=False)
-    return _cache_put(key, blocks)
+    return blocks
+
+
+def _label_words(labels: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
+    """``_Tower.words(n)`` from the labels alone: the same growth, folded up and not kept."""
+    level = words = None
+    for _ in range(n + 1):
+        level = _content_heads(labels, level)
+        words = _content_partition(level[0], words)
+    return words
 
 
 def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem]:
-    """The weight basis W of the system and the system in it, graded if possible.
+    """The weight basis W of the system and the system in it, graded if possible, kept in its tower.
 
     A system graded as given, each letter with its own label (:class:`_Tower`),
     is its own weight form, with ``W = 1``.  Otherwise T and B are moved to
@@ -574,10 +572,10 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
     Only the bases that the library returns are mapped back by ``W^(x)n``
     (:func:`_standard_basis`).
     """
-    if len(set(_tower(system).labels)) == system.dim:
+    tower = _tower(system)
+    if len(set(tower.labels)) == system.dim:
         return np.eye(system.dim), system
-    key = ("weight", system.content_key)
-    cached = _cache_get(key)
+    cached = tower._weight.get(None)
     if cached is None:
         w = weight_basis(system)
         graded, dropped = graded_part(change_basis(system, w))
@@ -586,9 +584,9 @@ def _weight_form(system: StatisticsSystem) -> tuple[np.ndarray, StatisticsSystem
         if dropped <= tol:
             graded = _zero_rounding(graded, tol)
             real, imag = real_part(graded)
-            cached = _cache_put(key, (w, real if imag <= tol else graded))
+            cached = _cache_put(None, (w, real if imag <= tol else graded), tower._weight)
         else:
-            cached = _cache_put(key, (np.eye(system.dim), None))
+            cached = _cache_put(None, (np.eye(system.dim), None), tower._weight)
     w, form = cached
     return w, system if form is None else form
 
@@ -621,7 +619,7 @@ def word_blocks(system: StatisticsSystem, n: int) -> tuple[np.ndarray, ...]:
     matrix, the ideal slice and its complement are then block-diagonal over
     them.  Otherwise the sector is one block, ``arange(N^n)``.
     """
-    return _content_partition(_tower(system).labels, n)
+    return _tower(system).words(n)
 
 
 def sector_spectrum(
@@ -632,17 +630,18 @@ def sector_spectrum(
 ) -> np.ndarray:
     """Ascending eigenvalues of the (possibly quotient) Gram matrix of sector n.
 
-    The one decomposition of a sector, cached, from which every Gram verdict
-    is derived.  Each diagonal block of the weight form's Gram matrix
-    (:func:`word_blocks`) or of :func:`quotient_gram` is checked for
-    Hermiticity at the tolerance of the whole matrix, ``eps * max(1, max|G|)``
-    (raising :class:`NotHermitian`), and diagonalized on its own; off-block
-    entries are zero by construction.  An entry that is not finite raises ValueError.
+    The one decomposition of a sector, kept in the system's tower, from which
+    every Gram verdict is derived.  Each diagonal block of the weight form's
+    Gram matrix (:func:`word_blocks`) or of :func:`quotient_gram` is checked
+    for Hermiticity at the tolerance of the whole matrix, ``eps * max(1,
+    max|G|)`` (raising :class:`NotHermitian`), and diagonalized on its own;
+    off-block entries are zero by construction.  An entry that is not finite
+    raises ValueError.
     """
     eps = resolve_eps(eps)
     _sector_dim(system.dim, n)
-    key = ("spectrum", system.content_key, n, eps, quotient)
-    cached = _cache_get(key)
+    spectra = _tower(system)._spectra
+    cached = spectra.get((n, eps, quotient))
     if cached is not None:
         return cached
     if quotient:
@@ -655,7 +654,7 @@ def sector_spectrum(
     spectrum = np.sort(np.concatenate(
         [hermitian_spectrum(block, eps, scale=scale) for block in gram.blocks]))
     spectrum.setflags(write=False)
-    return _cache_put(key, spectrum)
+    return _cache_put((n, eps, quotient), spectrum, spectra)
 
 
 def positivity_report(
@@ -725,28 +724,28 @@ def _ideal_split(system: StatisticsSystem, n: int, eps: float) -> tuple:
     the complement are taken block by block
     (:func:`~wickforge.linalg.span_and_complement`), each with the rank cutoff
     ``eps * max(1, sigma_max)`` of its own block and the words of the block
-    as rows.  Cached for the weight form, which a system shares with its
-    rotated twins.
+    as rows.  Kept per ``(n, eps)`` in the ideal table of the weight form's
+    tower, which a system shares with its rotated twins.
     """
     if system.braid is None:
         raise NoBraid("no braid operator: the free algebra has no quotient")
     n_sp = system.dim
     _sector_dim(n_sp, n)
     form = _weight_form(system)[1]
-    key = ("ideal", form.content_key, n, eps)
-    cached = _cache_get(key)
+    tower = _tower(form)
+    cached = tower._ideals.get((n, eps))
     if cached is not None:
         return cached
     braid = form.braid.mat
-    gen = np.eye(n_sp * n_sp) - (braid.real if _tower(form).dtype is float else braid)
-    words = word_blocks(form, n)
+    gen = np.eye(n_sp * n_sp) - (braid.real if tower.dtype is float else braid)
+    words = tower.words(n)
     largest = max(block.size for block in words)
     _check_entries(largest, (n - 1) * largest, "ideal generator stack")
     split = tuple(span_and_complement(_block_generators(gen, block, n_sp, n), block.size, eps)
                   for block in words)
     for basis in (basis for pair in split for basis in pair):
         basis.setflags(write=False)
-    return _cache_put(key, split)
+    return _cache_put((n, eps), split, tower._ideals)
 
 
 def _column_ranges(parts) -> tuple[np.ndarray, ...]:

@@ -33,7 +33,7 @@ from .errors import ExpressionSyntaxError, SpeciesOutOfRange
 from .fock import (
     _annihilate_placed,
     _check_entries,
-    _content_partition,
+    _label_words,
     _scatter,
     _sector_dim,
     _tower,
@@ -516,11 +516,11 @@ class EvaluationBlock:
 
     @property
     def rows(self) -> tuple:
-        return _content_partition(self.labels, self.target)
+        return _label_words(self.labels, self.target)
 
     @property
     def cols(self) -> tuple:
-        return _content_partition(self.labels, self.n)
+        return _label_words(self.labels, self.n)
 
     @cached_property
     def mat(self) -> np.ndarray:

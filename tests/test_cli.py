@@ -382,11 +382,10 @@ class TestCommands:
         system = load_system(str(path))
         form = fock._weight_form(system)[1]
         assert form is not system
-        towers = {key[1]: tower for key, tower in fock._CACHE.items() if key[0] == "tower"}
-        mine = towers.get(system.content_key)
+        mine = fock._CACHE.get(system.content_key)
         assert mine is None or not (mine._slices or mine._grams)
-        assert towers[form.content_key]._slices and towers[form.content_key]._grams
-        assert "ideal" in {key[0] for key in fock._CACHE if key[1] == form.content_key}
+        theirs = fock._CACHE[form.content_key]
+        assert theirs._slices and theirs._grams and theirs._ideals
 
     def test_zero_ideal_quotient_runs_under_the_entry_cap(self, capsys, monkeypatch,
                                                          identity_braid_file, fresh_cache):

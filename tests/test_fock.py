@@ -210,7 +210,7 @@ class TestEntryCap:
         monkeypatch.setattr(fock, "ENTRY_CAP", 20 * 100 - 1)
         with pytest.raises(SizeLimit, match="ideal generator stack of 20 x 100"):
             quotient_sector(fermion, 6)
-        assert not any(key[0] == "ideal" for key in fock._CACHE)
+        assert not fock._tower(fock._weight_form(fermion)[1])._ideals
         monkeypatch.setattr(fock, "ENTRY_CAP", 20 * 100)
         assert quotient_sector(fermion, 6).quotient.dim == 0
 
@@ -299,8 +299,8 @@ def placed_reference(system, tower, m, b, rows, block, levels):
     dense levels of the system built so far, keyed by ``(l0, m)``.
     """
     n_sp = system.dim
-    offsets = np.arange(n_sp**m)[fock._content_partition(tower.labels, m)[b]]
-    below = fock._content_partition(tower.labels, m - 1)
+    offsets = np.arange(n_sp**m)[tower.words(m)[b]]
+    below = tower.words(m - 1)
     refs = []
     for l0 in range(n_sp):
         if (l0, m) not in levels:
@@ -380,7 +380,7 @@ class TestPlacedAnnihilation:
             levels = {}  # each dense level once per system
             for m in range(1, max_degree + 1):
                 for floor in sorted({0, m // 2, m - 1, m}):
-                    heads, sizes, _ = fock._tower(system).level(m)
+                    heads, sizes = fock._tower(system).level(m)[:2]
                     b = int(rng.integers(len(sizes)))
                     runs, size = heads[b], sizes[b]
                     # a dense block of any height at any offset, straddling first letters
@@ -408,8 +408,8 @@ class TestPlacedAnnihilation:
             top = max_degree if is_graded(system.cross) else max_degree - 5 + n_species
             for m in range(1, top + 1):
                 tower = fock._tower(system)
-                blocks = fock._content_partition(tower.labels, m)
-                below = fock._content_partition(tower.labels, m - 1)
+                blocks = tower.words(m)
+                below = tower.words(m - 1)
                 for word_offset in rng.choice(n_species**m, 3):
                     word = sector_basis(n_species, m).basis[word_offset]
                     b, pos = next((b, int(np.flatnonzero(np.arange(n_species**m)[rows]
@@ -468,7 +468,7 @@ class TestSliceStep:
         for system in self.systems(n_species):
             tower = fock._tower(system)
             for m in range(1, max_degree + 1):
-                heads, sizes, _ = tower.level(m)
+                heads, sizes = tower.level(m)[:2]
                 got = tower.slices(m)
                 assert len(got) == len(sizes)
                 for b, size in enumerate(sizes):
@@ -664,19 +664,29 @@ def same_blocks(got, want) -> bool:
     return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def assert_labelled_tables(labels: tuple, n: int) -> None:
-    """The word blocks of sector n under ``labels`` against the words themselves.
+def labelled_tower(labels: tuple) -> fock._Tower:
+    """An uncached tower whose letters carry ``labels``: the growth every tower runs, any labelling."""
+    tower = fock._Tower(make_preset("boltzmann", len(labels)))
+    tower.labels = labels
+    return tower
+
+
+def assert_labelled_tables(tower: fock._Tower, n: int) -> None:
+    """The word blocks of sector n of the tower under its labels against the words themselves.
 
     Each block is ascending and holds exactly the words of one count of each
     label; the blocks partition the sector; each head names a run of its
     block, the runs tile the block in order, run j0 holds the words of block
     p of sector n-1 with letter j0 + 1 prepended, and ``grow`` inverts the
-    heads.
+    heads.  The labels alone, as an evaluation block holds them, fold the
+    same blocks.
     """
+    labels = tower.labels
     n_sp = len(labels)
     words = sector_basis(n_sp, n).basis
-    counts, heads, sizes, grow = fock._content_heads(labels, n)
-    blocks = fock._content_partition(labels, n)
+    heads, sizes, grow, counts = tower.level(n)
+    blocks = tower.words(n)
+    assert same_blocks(fock._label_words(labels, n), blocks)
     assert sorted(np.concatenate(blocks).tolist()) == list(range(n_sp**n))
     for b, block in enumerate(blocks):
         assert len(block) == sizes[b] and np.all(np.diff(block) > 0)
@@ -685,7 +695,7 @@ def assert_labelled_tables(labels: tuple, n: int) -> None:
     if n == 0:
         assert heads == ({},) and grow is None
         return
-    below = fock._content_partition(labels, n - 1)
+    below = tower.words(n - 1)
     for b, runs in enumerate(heads):
         edges = [(lo, hi) for _, lo, hi in runs.values()]
         assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
@@ -701,32 +711,33 @@ class TestLabels:
 
     @pytest.mark.parametrize("n_species", [1, 2, 3, 4])
     def test_one_label_gives_the_whole_sector(self, fresh_cache, n_species):
-        labels = (0,) * n_species
+        tower = labelled_tower((0,) * n_species)
         for n in range(7):
             size = n_species ** (n - 1) if n else 0
-            counts, heads, sizes, grow = fock._content_heads(labels, n)
+            heads, sizes, grow, counts = tower.level(n)
             assert counts == ((n,),) and sizes == (n_species**n,)
             assert heads == ({j0: (0, j0 * size, (j0 + 1) * size)
                               for j0 in range(n_species)} if n else {},)
             assert grow == (tuple([(0, j0 * size)] for j0 in range(n_species)) if n else None)
-            (words,) = fock._content_partition(labels, n)
+            (words,) = tower.words(n)
             assert np.array_equal(words, np.arange(n_species**n))
             if n <= 4:
-                assert_labelled_tables(labels, n)
+                assert_labelled_tables(tower, n)
 
     @pytest.mark.parametrize("n_species,max_degree", [(1, 5), (2, 6), (3, 4), (4, 3)])
     def test_own_labels_give_the_content_blocks(self, fresh_cache, n_species, max_degree):
         # content_blocks itself is checked against the words in TestGrading
-        labels = tuple(range(n_species))
+        tower = labelled_tower(tuple(range(n_species)))
         for n in range(max_degree + 1):
-            assert same_blocks(fock._content_partition(labels, n), content_blocks(n_species, n))
-            assert_labelled_tables(labels, n)
+            assert same_blocks(tower.words(n), content_blocks(n_species, n))
+            assert_labelled_tables(tower, n)
 
     @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1, 0), (1, 0)])
     def test_coarser_labels_join_content_blocks(self, fresh_cache, labels):
+        tower = labelled_tower(labels)
         for n in range(6):
-            assert_labelled_tables(labels, n)
-            owner = {offset: b for b, block in enumerate(fock._content_partition(labels, n))
+            assert_labelled_tables(tower, n)
+            owner = {offset: b for b, block in enumerate(tower.words(n))
                      for offset in block.tolist()}
             for block in content_blocks(len(labels), n):
                 assert len({owner[offset] for offset in block.tolist()}) == 1
@@ -886,7 +897,7 @@ class TestGramMemory:
                 descended_operators(system, i, n)
         annihilation_matrix(system, 2, 3)
         wick.evaluation_blocks(wick.parse_expression("a(1) a(2) c(2) c(3)", 3), system, 2)
-        built = {(key[1], m): slices for key, tower in fock._CACHE.items() if key[0] == "tower"
+        built = {(key, m): slices for key, tower in fock._CACHE.items()
                  for m, slices in tower._slices.items()}
         assert sorted(built) == [(system.content_key, m) for m in range(1, 5)]
         for (_, m), slices in built.items():
@@ -1655,12 +1666,40 @@ class TestReportsAndCaching:
                 wick.evaluation_blocks(expr, system, n)
                 fock._check_descends(system, n, EPS)
 
+        def entries():
+            # every entry of every table of every tower, by content
+            return {(key, name, entry) for key, tower in fock._CACHE.items()
+                    for name, table in vars(tower).items() if isinstance(table, dict)
+                    for entry in table}
+
         for first, second in ((a, b), (rotated, twin)):
             session(first)
-            keys = set(fock._CACHE)
+            keys = entries()
             session(second)
             assert fock._tower(first) is fock._tower(second)
-            assert set(fock._CACHE) == keys, second.label
+            assert entries() == keys, second.label
+
+    def test_cache_holds_one_tower_per_touched_content(self, fresh_cache):
+        # a mixed session on a rotated braided system and its graded twin:
+        # every verdict lands in a table of the tower of its content
+        base = make_preset("phase", 2, phi=0.7)
+        rotated = haar_rotated(base, np.random.default_rng(101))
+        expr = wick.parse_expression("a(1) a(2) c(2) c(1) + c(2) a(1)", 2)
+        touched = set()
+        for system in (rotated, base):
+            for n in range(4):
+                sector_spectrum(system, n, EPS)
+                sector_spectrum(system, n, EPS, quotient=True)
+                fock._check_descends(system, n, EPS)
+                wick.evaluation_blocks(expr, system, n)
+                annihilation_matrix(system, 2, n + 1)
+            touched |= {system.content_key, fock._weight_form(system)[1].content_key}
+        assert fock._weight_form(rotated)[1] is not rotated
+        assert fock._CACHE and all(type(tower) is fock._Tower for tower in fock._CACHE.values())
+        assert set(fock._CACHE) <= touched
+        assert fock._tower(fock._weight_form(rotated)[1])._ideals
+        fock.clear_cache()
+        assert not fock._CACHE
 
     def test_concurrent_sector_builds(self, fresh_cache):
         from concurrent.futures import ThreadPoolExecutor
@@ -1691,7 +1730,13 @@ class TestReportsAndCaching:
                 verdict = None
             except NotWellDefined as exc:
                 verdict = str(exc)
-            return pieces, verdict
+            # the verdict tables: quotient spectra on the system's tower, the
+            # weight form and the ideal splits on the form's
+            w, form = fock._weight_form(system)
+            split = [(span.tobytes(), comp.tobytes()) for span, comp
+                     in fock._ideal_split(system, n, EPS)]
+            spectrum = sector_spectrum(system, n, EPS, quotient=True).tobytes()
+            return pieces, verdict, w.tobytes(), form.content_key, split, spectrum
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

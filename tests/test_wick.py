@@ -457,7 +457,8 @@ class TestReferences:
 
         monkeypatch.setattr(fock._Tower, "slices", counted)
         got = evaluation_blocks(nf, twisted2, n)
-        counts = fock._content_heads((0, 1), n)[0]
+        assert fock._tower(twisted2).labels == (0, 1)
+        counts = fock._tower(twisted2).level(n)[3]
 
         def lives(suffix, c):
             return all(counts[c][s - 1] >= sum(g.species == s for g in suffix) for s in (1, 2))
