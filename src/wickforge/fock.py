@@ -291,9 +291,12 @@ class _Tower:
     def level(self, d: int) -> tuple:
         """``(heads, sizes, grow, counts)`` of sector d, grown from d-1's (:func:`_content_heads`).
 
-        Checked against the sector cap on every call, kept or not.  No word
-        offsets are formed, so none for the degrees that a placed recursion
-        passes through.
+        Checked against the sector cap on every call, kept or not.  A call
+        leaves the tables of d and of every degree below it in ``_levels``,
+        and sector d bounds them all, so the entry call's check covers the
+        degrees below: the placed recursion makes one call and reads the
+        lower degrees there.  No word offsets are formed, so none for the
+        degrees that a placed recursion passes through.
         """
         _sector_dim(self.n_species, d)
         found = self._levels.get(d)
@@ -411,51 +414,72 @@ def _annihilate_placed(
     slices ``A_l[b - e_l, b]`` are read on those columns.  Above ``floor``
     the one-step recursion acts instead, adding into zeros allocated in the
     field of the tower and the block, the entries of all species bounded
-    together by the entry cap.  The rows are split by the first-letter runs
-    of block b, each live tail is annihilated one degree down in its block
-    p, and ``A_i`` collects ``delta_ij tail + sum T^{ij}_{kl} x^k (x)
-    A_l(tail)`` (:func:`_add_rules`), the second term in run k of block ``b
-    - e_i`` (for the identity, in the columns of run j).  No slice above
+    together by the entry cap at every step.  The rows are split by the
+    first-letter runs of block b, each live tail is annihilated one degree
+    down in its block p, and ``A_i`` collects ``delta_ij tail + sum
+    T^{ij}_{kl} x^k (x) A_l(tail)`` (:func:`_add_rules`), the second term in
+    run k of block ``b - e_i`` (for the identity, in the columns of run j).
+    A run of the block that is all zero is skipped.  No slice above
     ``floor`` is built.  On a one-block partition this is the recursion on
     the whole sector.
+
+    The set-up is done once per call: the species set, the field, and one
+    checked :meth:`_Tower.level` call at degree m, after which the steps
+    (:func:`_placed_step`) read the tables of m and the degrees below it
+    directly.
     """
-    wanted, rules = species
+    tower.level(m)
+    dtype = tower.dtype if block is None else np.result_type(tower.dtype, block)
+    setup = (tower, tower._levels, floor, *species, dtype)
+    return _placed_step(setup, m, b, rows.start, rows.stop, block)
+
+
+def _placed_step(setup: tuple, m: int, b: int, first: int, last: int,
+                 block: np.ndarray | None) -> list[np.ndarray | None]:
+    """One step of :func:`_annihilate_placed` on the block placed at rows ``first:last`` of block b.
+
+    ``setup`` is ``(tower, levels, floor, wanted, rules, dtype)``, made once
+    by the entry call: the tower's level tables, already checked at the
+    entry degree, and the species set, its T nonzeros and the field of the
+    result.  A step whose block lacks the letter of every species of the set
+    returns at once, all None: nothing can add into it.
+    """
+    tower, levels, floor, wanted, rules, dtype = setup
     out = [None] * tower.n_species
     if m <= floor:
         found = tower.slices(m)[b]
         for l0 in wanted:
             if found[l0] is not None:
-                out[l0] = found[l0][:, rows] if block is None else found[l0][:, rows] @ block
+                out[l0] = (found[l0][:, first:last] if block is None
+                           else found[l0][:, first:last] @ block)
         return out
-    runs = tower.level(m)[0][b]
-    tails, below = tower.level(m - 1)[:2]
-    width = rows.stop - rows.start if block is None else block.shape[1]
+    runs = levels[m][0][b]
+    tails, below = levels[m - 1][:2]
+    width = last - first if block is None else block.shape[1]
     targets = [(i0, runs[i0][0]) for i0 in wanted if i0 in runs]
+    if not targets:
+        return out
     _check_entries(sum(below[p] for _, p in targets), width, "placed annihilation stack")
-    dtype = tower.dtype if block is None else np.result_type(tower.dtype, block)
     for i0, p in targets:
         out[i0] = np.zeros((below[p], width), dtype=dtype)
-    first, last = rows.start, rows.stop
     for j0, (p, lo, hi) in runs.items():
         start, stop = (lo if lo > first else first), (hi if hi < last else last)
         if start >= stop:
             continue
-        part = None if block is None else block[start - first:stop - first]
-        if part is not None and not np.count_nonzero(part):
-            continue
-        cols = slice(start - first, stop - first) if part is None else slice(None)
         tail = start - lo
-        if out[j0] is not None:
-            if part is None:
-                diag = np.arange(stop - start)
-                out[j0][tail + diag, start - first + diag] = 1.0
-            else:
-                out[j0][tail:tail + part.shape[0]] += part
-        if m == 1:
-            continue
-        inner = _annihilate_placed(tower, floor, m - 1, p, slice(tail, tail + stop - start), part,
-                                   species)
-        _add_rules(out, rules[j0], inner, tails, runs, cols)
+        if block is None:
+            part, cols = None, slice(start - first, stop - first)
+            if out[j0] is not None:
+                np.fill_diagonal(out[j0][tail:tail + stop - start, cols], 1.0)
+        else:
+            part, cols = block[start - first:stop - first], slice(None)
+            if not np.count_nonzero(part):
+                continue
+            if out[j0] is not None:
+                out[j0][tail:tail + stop - start] += part
+        if m > 1:
+            inner = _placed_step(setup, m - 1, p, tail, tail + stop - start, part)
+            _add_rules(out, rules[j0], inner, tails, runs, cols)
     return out
 
 

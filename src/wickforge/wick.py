@@ -54,19 +54,18 @@ GenWord = tuple[Generator, ...]
 _KIND_RANK = {"c": 0, "a": 1}
 
 
-def _word_sort_key(word: GenWord):
-    return tuple((_KIND_RANK[g.kind], g.species) for g in word)
-
-
 class OperatorExpression:
     """A formal complex combination of generator words; exact-zero terms are pruned.
 
     Arithmetic keeps every nonzero coefficient, however small: a product of
     small coefficients is still a true term.  Only the parser drops input
-    terms with ``|coeff| <= 1e-9``.
+    terms with ``|coeff| <= 1e-9``.  The terms are never changed after
+    construction, so :func:`evaluation_blocks` keeps their walk table
+    (:func:`_walk_table`) beside them, built on first evaluation; it takes no
+    part in equality, hashing or pickling.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_walks")
 
     def __init__(self, terms: dict[GenWord, complex] | None = None):
         pruned: dict[GenWord, complex] = {}
@@ -75,13 +74,20 @@ class OperatorExpression:
             if coeff != 0:
                 pruned[tuple(word)] = coeff
         self._terms = pruned
+        self._walks = None
 
     @classmethod
     def _trusted(cls, terms: dict[GenWord, complex]):
         """Wrap complex terms that the caller has already pruned and checked."""
         expr = cls.__new__(cls)
-        expr._terms = terms
+        expr._terms, expr._walks = terms, None
         return expr
+
+    def __getstate__(self):
+        return None, {"_terms": self._terms}
+
+    def __setstate__(self, state):
+        self._terms, self._walks = state[1]["_terms"], None
 
     @property
     def terms(self) -> dict[GenWord, complex]:
@@ -172,18 +178,24 @@ def _word_text(word: GenWord) -> str:
 def format_expression(expr: OperatorExpression) -> str:
     """Deterministic text form; terms sorted by word.
 
-    Parses back exactly, except terms with ``|coeff| <= DEFAULT_EPS``, which
-    the parser drops.
+    Words sort letter by letter, creators before annihilators, then by
+    species.  The rank and text of each distinct generator are worked out
+    once per call, so each word is sorted and written from them.  Parses
+    back exactly, except terms with ``|coeff| <= DEFAULT_EPS``, which the
+    parser drops.
     """
     if not expr._terms:
         return "0 1"
+    gens = sorted(set().union(*expr._terms), key=lambda g: (_KIND_RANK[g.kind], g.species))
+    rank = {g: r for r, g in enumerate(gens)}
+    text = {g: f"{g.kind}({g.species})" for g in gens}
     pieces = []
-    for word in sorted(expr._terms, key=_word_sort_key):
+    for word in sorted(expr._terms, key=lambda w: tuple(map(rank.__getitem__, w))):
         coeff = expr._terms[word]
         sign = "+"
         if coeff.imag == 0 and coeff.real < 0:
             sign, coeff = "-", -coeff
-        factors = _word_text(word)
+        factors = " ".join(map(text.__getitem__, word))
         if not word:
             body = "1" if coeff == 1 else f"{_fmt_coeff(coeff)} 1"
         elif coeff == 1:
@@ -192,10 +204,8 @@ def format_expression(expr: OperatorExpression) -> str:
             body = f"{_fmt_coeff(coeff)} {factors}"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return (("-" if first_sign == "-" else "") + first_body
+            + "".join(f" {sign} {body}" for sign, body in pieces[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +541,31 @@ class EvaluationBlock:
                         ((rows[b], cols[c], piece) for (b, c), piece in self.pieces.items()))
 
 
+def _walk_table(terms: dict[GenWord, complex]) -> tuple:
+    """What :func:`evaluation_blocks` reads of each term, the same on every sector and system.
+
+    Per term, in order: ``(word, coeff, suffix, rest, shift, smallest,
+    largest)``.  The letters are read right to left as ``(is creator,
+    species index)``: ``suffix`` holds the species indices of the leading
+    run of annihilators, the term's all-annihilator suffix, and ``rest`` the
+    letters after it.  ``shift`` is the degree the term adds, and
+    ``smallest`` and ``largest`` bound its species (1 for the unit).  Each
+    distinct generator is read once, into ``letter``.
+    """
+    letter = {g: (g.kind == "c", g.species - 1) for g in set().union(*terms)}
+    table = []
+    for word, coeff in terms.items():
+        if not word:
+            table.append((word, coeff, (), (), 0, 1, 1))
+            continue
+        letters = tuple(map(letter.__getitem__, reversed(word)))
+        creates, indices = zip(*letters)
+        split = creates.index(True) if True in creates else len(creates)
+        table.append((word, coeff, indices[:split], letters[split:],
+                      2 * sum(creates) - len(creates), min(indices) + 1, max(indices) + 1))
+    return tuple(table)
+
+
 def evaluation_blocks(
     expr: OperatorExpression,
     system: StatisticsSystem,
@@ -542,19 +577,22 @@ def evaluation_blocks(
     below zero annihilate and contribute zeros; terms whose final degree is
     negative are dropped entirely.
 
-    Every term is walked once per word block c of sector n (the blocks of
-    :class:`EvaluationBlock`), right to left over its letters, on a running
-    column block placed at some rows of one word block of the current
-    sector.  Creation only moves the block to a run of a block of the next
-    sector.  An annihilator at degree at most n multiplies it by the columns
-    of that block's annihilation slice; above n it acts on the placed block
-    by the one-step recursion down to degree n
-    (:func:`~wickforge.fock._annihilate_placed`), so no slice above sector n
-    is built.  When T is graded, each letter moves the content by one, so a
-    term maps block c into one block of its target, or dies where a block
-    lacks the letter of an annihilator.  The state after an all-annihilator
-    suffix is kept per source block for the call: the terms ``c_w a_v`` of a
-    normal form that share ``a_v`` compute it once.  The term is added in
+    Each term's letters are read once per expression, into the walk table
+    kept on it (:func:`_walk_table`), which every call reads.  Every term is
+    walked once per word block c of sector n (the blocks of
+    :class:`EvaluationBlock`) that its all-annihilator suffix leaves alive,
+    right to left over its letters, on a running column block placed at some
+    rows of one word block of the current sector.  Creation only moves the
+    block to a run of a block of the next sector, through the ``grow`` table
+    of that sector's level, fetched once per call.  An annihilator at degree
+    at most n multiplies it by the columns of that block's annihilation
+    slice; above n it acts on the placed block by the one-step recursion
+    down to degree n (:func:`~wickforge.fock._annihilate_placed`), so no slice
+    above sector n is built.  When T is graded, each letter moves the content
+    by one, so a term maps block c into one block of its target, or dies
+    where a block lacks the letter of an annihilator.  The live blocks after
+    an all-annihilator suffix, with their states, are kept for the call: the
+    terms ``c_w a_v`` of a normal form that share ``a_v`` compute them once.  The term is added in
     place to the rows of its piece.  The pieces of a target degree stand for
     its dense matrix and are bounded together by the entry cap, checked
     before each piece is allocated.
@@ -564,54 +602,53 @@ def evaluation_blocks(
     tower = _tower(system)
     level, species = tower.level, tower.species
     widths = level(n)[1]
+    # The levels of the degrees walked so far, each checked once: a creator
+    # reaches a new degree only from the one below it.
+    levels = [level(d) for d in range(n + 1)]
+    walks = expr._walks
+    if walks is None:
+        walks = expr._walks = _walk_table(expr._terms)
     # Every target degree gets a block, even if all its terms die; the
     # entries of its pieces are bounded together, as its dense matrix is.
     pieces: dict[int, dict] = {}
     entries: dict[int, int] = {}
-    trailing: dict[tuple, tuple | None] = {}
+    # the live blocks after each all-annihilator suffix: (c, mat, block)
+    trailing: dict[tuple, list] = {(): [(c, None, c) for c in range(len(widths))]}
 
-    def settle(suffix: tuple, c: int) -> tuple | None:
-        """``(mat, block)`` after the annihilators ``suffix`` on block c of sector n; None if dead."""
-        key = (suffix, c)
-        if key not in trailing:
-            state = (None, c) if len(suffix) == 1 else settle(suffix[:-1], c)
+    def settle(suffix: tuple) -> list:
+        """``(c, mat, block)`` per block c of sector n that the annihilators ``suffix`` spare."""
+        live = trailing.get(suffix)
+        if live is None:
             degree, i0 = n + 1 - len(suffix), suffix[-1]
-            found = None if state is None else tower.slices(degree)[state[1]][i0]
-            if found is None:
-                trailing[key] = None
-            else:
-                mat, b = state
-                trailing[key] = (found if mat is None else found @ mat,
-                                 level(degree)[0][b][i0][0])
-        return trailing[key]
+            live = trailing[suffix] = []
+            for c, mat, b in settle(suffix[:-1]):
+                found = tower.slices(degree)[b][i0]
+                if found is not None:
+                    live.append((c, found if mat is None else found @ mat,
+                                 levels[degree][0][b][i0][0]))
+        return live
 
-    for word, coeff in expr._terms.items():
-        _check_word_species(word, n_sp)
-        target = n + sum(1 if g.kind == "c" else -1 for g in word)
+    for word, coeff, suffix, rest, shift, smallest, largest in walks:
+        if smallest < 1 or largest > n_sp:
+            _check_word_species(word, n_sp)
+        target = n + shift
         if target < 0:
             continue
-        _sector_dim(n_sp, target)
-        held = pieces.setdefault(target, {})
-        # letters right to left as (is creator, species index), and the
-        # length of the all-annihilator suffix
-        letters = tuple((g.kind == "c", g.species - 1) for g in reversed(word))
-        split = 0
-        for creates, _ in letters:
-            if creates or split > n:
-                break
-            split += 1
-        if split > n:  # the suffix meets the vacuum
+        held = pieces.get(target)
+        if held is None:
+            _sector_dim(n_sp, target)
+            held = pieces[target] = {}
+        if len(suffix) > n:  # the suffix meets the vacuum
             continue
-        suffix = tuple(i0 for _, i0 in letters[:split])
-        for c, width in enumerate(widths):
-            state = settle(suffix, c) if split else (None, c)
-            if state is None:
-                continue
-            (mat, b), degree, row = state, n - split, 0
-            for creates, i0 in letters[split:]:
+        for c, mat, b in settle(suffix):
+            width, degree, row = widths[c], n - len(suffix), 0
+            for creates, i0 in rest:
                 if creates:
-                    b, lo = level(degree + 1)[2][i0][b]
-                    row, degree = row + lo, degree + 1
+                    degree += 1
+                    if degree == len(levels):
+                        levels.append(level(degree))
+                    b, lo = levels[degree][2][i0][b]
+                    row += lo
                     continue
                 if degree == 0:
                     break
@@ -624,11 +661,11 @@ def evaluation_blocks(
                         found[:, rows] if mat is None else found[:, rows] @ mat)
                 if mat is None:  # block b lacks the letter
                     break
-                b, degree, row = level(degree)[0][b][i0][0], degree - 1, 0
+                b, degree, row = levels[degree][0][b][i0][0], degree - 1, 0
             else:
                 piece = held.get((b, c))
                 if piece is None:
-                    height, done = level(target)[1][b], entries.get(target, 0)
+                    height, done = levels[target][1][b], entries.get(target, 0)
                     _check_entries(height, width, f"evaluation piece to sector {target}",
                                    held=done)
                     entries[target] = done + height * width

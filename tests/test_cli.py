@@ -558,6 +558,26 @@ class TestVerify:
         assert code == 0, err
         assert float(out.splitlines()[1].split()[3]) <= 1e-12
 
+    @pytest.mark.parametrize("top", [0, 4])
+    def test_each_side_evaluated_once_per_sector(self, capsys, monkeypatch, top):
+        # the two expressions keep their walk tables from sector to sector
+        calls = []
+        real = cli.evaluation_blocks
+
+        def counted(expr, system, n):
+            calls.append((expr, n))
+            return real(expr, system, n)
+
+        monkeypatch.setattr(cli, "evaluation_blocks", counted)
+        code, _, err = run(capsys, ["normal-order", "a(2) a(1) c(1) c(3)", "--preset", "phase",
+                                    "--phi", "0.7", "--dim", "3", "--verify",
+                                    "--max-sector", str(top)])
+        assert code == 0, err
+        assert len(calls) == 2 * (top + 1)
+        assert sorted(n for _, n in calls) == sorted(2 * list(range(top + 1)))
+        sides = {id(expr): expr for expr, _ in calls}
+        assert len(sides) == 2 and all(expr._walks is not None for expr in sides.values())
+
     def test_long_boson_word_to_sector_ten(self, capsys):
         # per-block evaluation: the whole-sector placed stack of sector 16
         # (65536 x 1024) would be over the entry cap

@@ -1,3 +1,5 @@
+import pickle
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +25,7 @@ from wickforge.wick import (
     wick_product,
 )
 
-from conftest import acceptance_systems, haar_rotated, phase_phi, twisted_ccr
+from conftest import acceptance_systems, haar_rotated, multi_q, phase_phi, twisted_ccr
 from oracles import content_blocks, kron_oracle, path_sum_normal_order
 
 EPS = 1e-9
@@ -574,6 +576,112 @@ class TestEvaluationPieces:
         got = evaluation_blocks(parse_expression("a(1) c(2) + c(1)", 2), system, 2)
         assert got[2].labels == (0, 0) and set(got[2].pieces) == {(0, 0)}
         assert got[2].mat is got[2].pieces[(0, 0)]
+
+
+def same_pieces(got, want) -> bool:
+    """Two evaluations with the same target degrees, pieces, dtypes, shapes and bytes."""
+    return set(got) == set(want) and all(
+        set(got[t].pieces) == set(want[t].pieces)
+        and all(piece.dtype == want[t].pieces[key].dtype
+                and piece.shape == want[t].pieces[key].shape
+                and piece.tobytes() == want[t].pieces[key].tobytes()
+                for key, piece in got[t].pieces.items())
+        for t in got)
+
+
+class TestWalkTable:
+    """The walk table an expression keeps from its first evaluation."""
+
+    TEXT = "a(1) a(2) c(1) c(2) + (0.5,1) c(2) a(1) - 2 1 + c(1) c(1) a(2) + a(2) a(2) a(1)"
+
+    def test_kept_table_gives_the_pieces_of_a_fresh_copy(self, fresh_cache):
+        rng = np.random.default_rng(59)
+        systems = [twisted_ccr(2, 0.6), multi_q(2, rng), haar_rotated(twisted_ccr(2, 0.6), rng),
+                   make_preset("boson", 2)]
+        expr = parse_expression(self.TEXT, 2)
+        forms = [expr] + [normal_order(expr, system) for system in systems]
+        evaluation_blocks(expr, systems[0], 0)
+        table = expr._walks
+        for system in systems:
+            for n in (2, 0, 3, 1):
+                for form in forms:
+                    fresh = type(form)(form.terms)  # the same terms, no walk table
+                    assert same_pieces(evaluation_blocks(form, system, n),
+                                       evaluation_blocks(fresh, system, n)), (system.label, n)
+        assert expr._walks is table  # read on every sector and system, built once
+
+    def test_filled_table_changes_no_other_behaviour(self, twisted2):
+        for make in (lambda: parse_expression(self.TEXT, 2),
+                     lambda: normal_order(parse_expression(self.TEXT, 2), twisted2)):
+            filled, fresh = make(), make()
+            evaluation_blocks(filled, twisted2, 2)
+            assert filled._walks is not None and fresh._walks is None
+            assert filled == fresh and hash(filled) == hash(fresh)
+            assert star(filled) == star(fresh)
+            assert filled.concat(filled) == fresh.concat(fresh)
+            assert str(filled) == str(fresh)
+            assert pickle.dumps(filled) == pickle.dumps(fresh)
+            back = pickle.loads(pickle.dumps(filled))
+            assert type(back) is type(filled) and back == filled and back._walks is None
+            assert same_pieces(evaluation_blocks(back, twisted2, 2),
+                               evaluation_blocks(filled, twisted2, 2))
+
+    @pytest.mark.parametrize("word,species", [
+        ((a(7),), 7),
+        ((c(0),), 0),  # built by hand: the parser refuses species 0
+        ((c(1), c(0), a(5)), 0),  # the first bad letter of the word is named
+        ((a(5), c(0)), 5),
+    ])
+    def test_out_of_range_species_on_every_call(self, boson2, word, species):
+        # the valid term comes first, so the check is made term by term
+        expr = OperatorExpression({(c(1), a(2)): 1.0, word: 2.0})
+        message = f"species {species} out of range 1..2"
+        with pytest.raises(SpeciesOutOfRange, match=re.escape(message)):
+            normal_order(expr, boson2)
+        for n in (1, 1, 0):
+            with pytest.raises(SpeciesOutOfRange, match=re.escape(message)):
+                evaluation_blocks(expr, boson2, n)
+
+
+class TestDeepWords:
+    """Five and six annihilators acting above the input sector, against the dense composition.
+
+    The placed recursion runs from up to five degrees above sector n down
+    to it, on dense running blocks; the pieces are compared, not a
+    ``--verify`` verdict, whose tolerance is absolute.
+    """
+
+    WORDS = {
+        2: ["a(2) a(1) a(2) a(1) a(2) c(1) c(2) c(1) c(2) c(1)",
+            "a(1) a(2) a(2) a(1) a(2) a(1) c(2) c(1) c(1) c(2) c(2) c(1)"],
+        3: ["a(3) a(1) a(2) a(1) a(3) c(2) c(1) c(3) c(1) c(2)"],
+    }
+
+    @staticmethod
+    def systems():
+        rng = np.random.default_rng(61)
+        pair = [twisted_ccr(2, 0.6), multi_q(2, rng)]
+        return (pair + [haar_rotated(system, rng) for system in pair]
+                + [make_preset("phase", 3, phi=phase_phi(3, np.pi / 3))])
+
+    @pytest.mark.parametrize("case", range(5), ids=["twisted2", "multi-q2", "rotated-twisted2",
+                                                    "rotated-multi-q2", "phase3"])
+    def test_pieces_match_the_dense_composition(self, fresh_cache, case):
+        system = self.systems()[case]
+        for text in self.WORDS[system.dim]:
+            expr = parse_expression(text, system.dim)
+            for form in (expr, normal_order(expr, system)):
+                for n in range(3):
+                    got = evaluation_blocks(form, system, n)
+                    ref = dense_blocks(form, system, n)
+                    assert set(got) == set(ref), (text, n)
+                    for target, block in got.items():
+                        scale = max(1.0, max_abs(ref[target]))
+                        for (b, c), piece in block.pieces.items():
+                            want = ref[target][np.ix_(block.rows[b], block.cols[c])]
+                            assert max_abs(piece - want) <= 1e-12 * scale, (text, n, target, b, c)
+                        # and zero outside the pieces
+                        assert max_abs(block.mat - ref[target]) <= 1e-12 * scale, (text, n, target)
 
 
 class TestCrossSymmetryAxioms:
