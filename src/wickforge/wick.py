@@ -10,12 +10,19 @@ Normal ordering rewrites the leftmost annihilator-creator pair with
 until every term has all creators in front.  Words are never canonicalized
 modulo the braid operator here; that quotient lives in :mod:`wickforge.fock`.
 
-Grammar (whitespace separates factors)::
+Grammar::
 
     expr    := sign? term (sign term)*
     term    := coeff? factor+
-    coeff   := number | '(' number ',' number ')'
-    factor  := 'c(' int ')' | 'a(' int ')' | '1'
+    coeff   := number | '(' sign? number ',' sign? number ')'
+    factor  := 'c(' digits ')' | 'a(' digits ')' | '1'
+    sign    := '+' | '-'
+    number  := (digits ('.' digits?)? | '.' digits) (('e' | 'E') sign? digits)?
+
+Whitespace between tokens is optional and ignored; a generator such as
+``c(12)`` is one token.  A bare number is a coefficient only when a factor
+follows it, and the literal ``1`` is the only unit factor (``1.0`` is
+rejected).
 """
 
 from __future__ import annotations
@@ -213,172 +220,97 @@ def format_expression(expr: OperatorExpression) -> str:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<gen>[ca])\((?P<species>\d+)\)"
-    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s+"
+    r"|(?P<gen>([ca])\((\d+)\))"
+    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<lparen>\()"
     r"|(?P<rparen>\))"
     r"|(?P<comma>,)"
-    r"|(?P<plus>\+)"
-    r"|(?P<minus>-)"
+    r"|(?P<sign>[+-])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+def _expect(token: tuple, kind: str) -> None:
+    """Raise unless ``token`` is of ``kind``; the end of the text is its own error."""
+    if token[0] is None:
+        raise ExpressionSyntaxError("unexpected end of expression", token[2])
+    if token[0] != kind:
+        raise ExpressionSyntaxError(f"expected {kind}, got {token[1]!r}", token[2])
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if match.group("gen") is not None:
-            tokens.append(_Token("gen", match.group(0), pos))
-        else:
-            tokens.append(_Token(match.lastgroup, match.group(0), pos))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], n_species: int, length: int):
-        self.tokens = tokens
-        self.n_species = n_species
-        self.length = length
-        self.idx = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionSyntaxError("unexpected end of expression", self.length)
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ExpressionSyntaxError(
-                f"expected {kind}, got {tok.text!r}", tok.pos
-            )
-        return tok
-
-    def parse(self) -> OperatorExpression:
-        terms: dict[GenWord, complex] = {}
-        sign = 1.0
-        tok = self.peek()
-        if tok is not None and tok.kind in ("plus", "minus"):
-            self.next()
-            sign = -1.0 if tok.kind == "minus" else 1.0
-        if self.peek() is None:
-            raise ExpressionSyntaxError("empty expression", self.length)
-        starts: dict[GenWord, int] = {}
-        while True:
-            tok = self.peek()
-            word, coeff = self.parse_term()
-            coeff *= sign
-            terms[word] = terms.get(word, 0.0) + coeff
-            starts.setdefault(word, tok.pos if tok is not None else self.length)
-            tok = self.peek()
-            if tok is None:
-                break
-            sign = -1.0 if tok.kind == "minus" else 1.0
-            self.next()
-        # Checked on the sums, which can overflow where no single term does.
-        for word, c in terms.items():
-            if not cmath.isfinite(c):
-                raise ExpressionSyntaxError(
-                    f"coefficient {c} of {_word_text(word)} is not finite", starts[word])
-        return OperatorExpression(
-            {word: c for word, c in terms.items() if abs(c) > DEFAULT_EPS})
-
-    def parse_term(self) -> tuple[GenWord, complex]:
-        coeff = self.parse_coeff()
-        word: list[Generator] = []
-        saw_factor = False
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind in ("plus", "minus"):
-                break
-            if tok.kind == "gen":
-                self.next()
-                word.append(self.make_generator(tok))
-                saw_factor = True
-            elif tok.kind == "num":
-                if tok.text != "1":
-                    raise ExpressionSyntaxError(
-                        f"expected factor, got number {tok.text!r}", tok.pos
-                    )
-                self.next()
-                saw_factor = True  # the unit factor contributes no letters
-            else:
-                raise ExpressionSyntaxError(
-                    f"expected factor, got {tok.text!r}", tok.pos
-                )
-        if not saw_factor:
-            tok = self.peek()
-            pos = tok.pos if tok else self.length
-            raise ExpressionSyntaxError("term has no factors", pos)
-        return tuple(word), coeff
-
-    def parse_coeff(self) -> complex:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionSyntaxError("unexpected end of expression", self.length)
-        if tok.kind == "lparen":
-            self.next()
-            re_part = self.parse_signed_number()
-            self.expect("comma")
-            im_part = self.parse_signed_number()
-            self.expect("rparen")
-            return complex(re_part, im_part)
-        if tok.kind == "num":
-            nxt = (
-                self.tokens[self.idx + 1]
-                if self.idx + 1 < len(self.tokens)
-                else None
-            )
-            if nxt is not None and nxt.kind in ("gen", "num"):
-                self.next()
-                return complex(float(tok.text), 0.0)
-            # a lone number is only valid as the unit factor "1"
-            return 1.0
-        return 1.0
-
-    def parse_signed_number(self) -> float:
-        sign = 1.0
-        tok = self.next()
-        if tok.kind in ("plus", "minus"):
-            sign = -1.0 if tok.kind == "minus" else 1.0
-            tok = self.next()
-        if tok.kind != "num":
-            raise ExpressionSyntaxError(f"expected number, got {tok.text!r}", tok.pos)
-        return sign * float(tok.text)
-
-    def make_generator(self, tok: _Token) -> Generator:
-        match = _TOKEN_RE.match(tok.text)
-        species = int(match.group("species"))
-        if not 1 <= species <= self.n_species:
-            raise SpeciesOutOfRange(
-                f"species {species} out of range 1..{self.n_species}"
-            )
-        return Generator(tok.text[0], species)
+def _read_sign(tokens: list, i: int) -> tuple[float, int]:
+    """The value of an optional sign at ``tokens[i]``, and the index after it."""
+    if tokens[i][0] == "sign":
+        return (-1.0 if tokens[i][1] == "-" else 1.0), i + 1
+    return 1.0, i
 
 
 def parse_expression(text: str, n_species: int) -> OperatorExpression:
-    """Parse expression text; round-trips exactly with :func:`format_expression`."""
+    """Parse expression text; round-trips exactly with :func:`format_expression`.
+
+    The whole text is tokenized before any term is read, so a stray
+    character anywhere is reported first.  Each token is ``(kind, text,
+    position, match)``, and the end of the text is a token of kind None.
+    """
     if n_species < 1:
         raise ValueError(f"need at least one species, got {n_species}")
-    return _Parser(_tokenize(text), n_species, len(text)).parse()
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {match[0]!r}", match.start())
+        if match.lastgroup is not None:
+            tokens.append((match.lastgroup, match[0], match.start(), match))
+    tokens.append((None, "", len(text), None))
+    terms: dict[GenWord, complex] = {}
+    starts: dict[GenWord, int] = {}
+    i = 0
+    while True:  # one term per pass: sign, coefficient, factors
+        sign, i = _read_sign(tokens, i)
+        kind, _, start, _ = tokens[i]
+        coeff = 1.0
+        if kind is None:
+            raise ExpressionSyntaxError(
+                "unexpected end of expression" if terms else "empty expression", start)
+        if kind == "lparen":
+            parts = []
+            for closer in ("comma", "rparen"):
+                part_sign, i = _read_sign(tokens, i + 1)
+                _expect(tokens[i], "number")
+                parts.append(part_sign * float(tokens[i][1]))
+                _expect(tokens[i + 1], closer)
+                i += 1
+            coeff, i = complex(*parts), i + 1
+        elif kind == "number" and tokens[i + 1][0] in ("gen", "number"):
+            coeff, i = complex(float(tokens[i][1]), 0.0), i + 1
+        letters: list[Generator] = []
+        first = i
+        while tokens[i][0] not in ("sign", None):
+            kind, token_text, pos, match = tokens[i]
+            if kind == "gen":
+                gen = Generator(match[2], int(match[3]))
+                _check_word_species((gen,), n_species)
+                letters.append(gen)
+            elif kind != "number":
+                raise ExpressionSyntaxError(f"expected factor, got {token_text!r}", pos)
+            elif token_text != "1":
+                raise ExpressionSyntaxError(f"expected factor, got number {token_text!r}", pos)
+            i += 1  # the unit factor contributes no letters
+        if i == first:
+            raise ExpressionSyntaxError("term has no factors", tokens[i][2])
+        word = tuple(letters)
+        terms[word] = terms.get(word, 0.0) + coeff * sign
+        starts.setdefault(word, start)
+        if tokens[i][0] is None:
+            break
+    # Checked on the sums, which can overflow where no single term does.
+    for word, c in terms.items():
+        if not cmath.isfinite(c):
+            raise ExpressionSyntaxError(
+                f"coefficient {c} of {_word_text(word)} is not finite", starts[word])
+    return OperatorExpression(
+        {word: c for word, c in terms.items() if abs(c) > DEFAULT_EPS})
 
 
 # ---------------------------------------------------------------------------

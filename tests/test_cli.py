@@ -694,3 +694,32 @@ class TestMalformedOperatorFiles:
             assert code == 2, (trial, mutated, err)
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, (trial, err)
+
+
+#: Pieces of expression text: whole terms and signs, drawn three times in
+#: four, and near-tokens, Unicode and zero-width spaces and stray characters.
+#: Joined with no separator they also make numbers and generators that no
+#: piece spells out.
+EXPRESSION_TERMS = ("c(1) ", "a(2) ", "a(1)", "c(2)", " + ", " - ", "2 ", "(1,-2) ", "1 ")
+EXPRESSION_EDGES = (
+    "c(3)", "a(0)", "c(007)", "0.5", ".5e1", "1.0", "1e400", "1e-12", "(", ")", ",", "+", "-",
+    " ", "\u00a0", "\u3000", "\u200b", "\t", "@", "c(", "a", "e", ".",
+)
+
+
+class TestMalformedExpressions:
+    def test_fuzzed_expressions_exit_zero_or_two_with_one_line(self, capsys):
+        rng = np.random.default_rng(2030)
+        for trial in range(300):
+            text = "".join(
+                rng.choice(EXPRESSION_TERMS if rng.random() < 0.75 else EXPRESSION_EDGES)
+                for _ in range(int(rng.integers(1, 9))))
+            code, out, err = run(capsys, ["normal-order", text, "--preset", "boson", "--dim", "2"])
+            if code == 0:
+                assert out.count("\n") == 1 and err == "", (trial, text, err)
+                continue
+            # argparse reads a text such as "-c(1)" as an option, and prints
+            # its usage lines before its one error line.
+            lines = err.splitlines()
+            assert code == 2 and out == "", (trial, text, code, out)
+            assert [line for line in lines if "error: " in line] == lines[-1:], (trial, text, err)

@@ -105,6 +105,56 @@ class TestParser:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("   ", 2)
 
+    @pytest.mark.parametrize("text, error, message, position", [
+        ("c(1) \u200b", ExpressionSyntaxError, "unexpected character '\\u200b'", 5),
+        ("c(1) +", ExpressionSyntaxError, "unexpected end of expression", 6),
+        ("(1,", ExpressionSyntaxError, "unexpected end of expression", 3),
+        ("(1 2) c(1)", ExpressionSyntaxError, "expected comma, got '2'", 3),
+        ("(1,2 c(1)", ExpressionSyntaxError, "expected rparen, got 'c(1)'", 5),
+        ("(,1) c(1)", ExpressionSyntaxError, "expected number, got ','", 1),
+        ("", ExpressionSyntaxError, "empty expression", 0),
+        ("   ", ExpressionSyntaxError, "empty expression", 3),
+        ("-", ExpressionSyntaxError, "empty expression", 1),
+        ("2 3", ExpressionSyntaxError, "expected factor, got number '3'", 2),
+        ("1.0", ExpressionSyntaxError, "expected factor, got number '1.0'", 0),
+        ("c(1) (1,2)", ExpressionSyntaxError, "expected factor, got '('", 5),
+        ("(1,2)", ExpressionSyntaxError, "term has no factors", 5),
+        ("- - c(1)", ExpressionSyntaxError, "term has no factors", 2),
+        ("1e400 c(1)", ExpressionSyntaxError,
+         "coefficient (inf+nanj) of c(1) is not finite", 0),
+        ("1e308 c(1) + 1e308 c(1)", ExpressionSyntaxError,
+         "coefficient (inf+0j) of c(1) is not finite", 0),
+        ("a(1) c(3)", SpeciesOutOfRange, "species 3 out of range 1..2", None),
+        ("c(0)", SpeciesOutOfRange, "species 0 out of range 1..2", None),
+        # Every character is read before any term: the stray one wins.
+        ("c(3) @", ExpressionSyntaxError, "unexpected character '@'", 5),
+        # A generator is checked when read, before the factor after it.
+        ("c(3) (", SpeciesOutOfRange, "species 3 out of range 1..2", None),
+    ])
+    def test_error_contract(self, text, error, message, position):
+        with pytest.raises(error) as info:
+            parse_expression(text, 2)
+        if position is None:
+            assert str(info.value) == message
+            assert not hasattr(info.value, "position")
+        else:
+            assert str(info.value) == f"{message} (at position {position})"
+            assert info.value.position == position
+
+    @pytest.mark.parametrize("text, terms", [
+        ("c(1)c(2)", [((c(1), c(2)), 1)]),
+        ("c(1)\u3000a(2)", [((c(1), a(2)), 1)]),
+        ("2 1", [((), 2)]),
+        ("c(007)", [((c(7),), 1)]),
+        ("(1,-2) c(1) - .5e1 1", [((c(1),), 1 - 2j), ((), -5)]),
+        ("c(2) + c(1) + c(2)", [((c(2),), 2), ((c(1),), 1)]),
+        ("1e-10 c(1) + c(2)", [((c(2),), 1)]),
+    ])
+    def test_valid_contract(self, text, terms):
+        got = list(parse_expression(text, 7).terms.items())
+        assert got == terms
+        assert all(type(coeff) is complex for _, coeff in got)
+
 
 class TestPrinting:
     def test_quon_form(self):
