@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Callable
 
@@ -284,8 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
 # and help and usage text are formatted when printed.
 _PARSER = build_parser()
 
+#: A leading minus glued to its term, as in '-c(1)' or '-2c(1)', which
+#: argparse would take for an option: the sign and any coefficient, before
+#: the first generator.
+_GLUED_SIGN = re.compile(
+    r"\A-((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|\([^()]*\))?(?=[ca]\()")
+
 
 def main(argv=None) -> int:
+    # A space after the coefficient makes such a term an argument, as '- c(1)'
+    # and '-2 c(1)' are, and leaves the expression it spells unchanged.
+    argv = [_GLUED_SIGN.sub(r"-\1 ", arg) for arg in (sys.argv[1:] if argv is None else argv)]
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

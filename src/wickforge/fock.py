@@ -142,13 +142,22 @@ class GramMatrix:
 
     ``blocks[b]`` is the Gram matrix on the words ``words[b]`` (ascending
     offsets; see :func:`word_blocks`); entries between different blocks are
-    zero.  ``mat`` is the dense matrix, the blocks scattered into zeros (or
-    the one block itself), built on first use.
+    zero.  ``words`` is formed on first read from the letter ``labels`` of
+    the blocks (:class:`_Tower`), or, when ``labels`` is None (as in
+    :func:`quotient_gram`), stands the blocks side by side.  ``mat`` is the
+    dense matrix, the blocks scattered into zeros (or the one block itself),
+    built on first use.
     """
 
     n: int
-    words: tuple
+    labels: tuple | None
     blocks: tuple
+
+    @cached_property
+    def words(self) -> tuple[np.ndarray, ...]:
+        if self.labels is None:
+            return _column_ranges(self.blocks)
+        return _label_words(self.labels, self.n)
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -314,19 +323,30 @@ class _Tower:
 
         Letters that c lacks get None.  The rows of a slice are the block c -
         e_i of sector m-1 that the head of letter i names, its columns the
-        words of c.  Block c's slices are one step of the recursion on its
-        identity over the slices of degree m-1: per first-letter run j of c,
-        the identity on column run j of slice j, plus ``T^{ij}_{kl}`` times
-        slice l of the run's tail block c - e_j in row run k and column run j
-        of slice i (:func:`_add_rules`), for every nonzero of T in the order
-        of ``np.nonzero(T)``.  The blocks are the tower's own (``labels``):
-        by letter content when T is graded (then row run k of block c - e_i
-        holds exactly the rows of slice l of block c - e_j), and otherwise
-        the whole sector, whose slices are the dense levels.
+        words of c.  Each block's slices are one step of the recursion
+        (:meth:`_slice_step`), and all of sector m's are kept.
         """
         found = self._slices.get(m)
         if found is not None:
             return found
+        step = self._slice_step(m)
+        return _cache_put(m, tuple(map(step, range(len(self.level(m)[0])))), self._slices)
+
+    def _slice_step(self, m: int):
+        """``step(c)``: the slices of word block c of sector m >= 1 (:meth:`slices`), not kept.
+
+        Every slice of sector m is checked against the entry cap first, before
+        the recursion builds anything; then the slices of degree m-1 are read,
+        built and kept if need be.  Block c's slices are one step of the
+        recursion on its identity over those: per first-letter run j of c, the
+        identity on column run j of slice j, plus ``T^{ij}_{kl}`` times slice
+        l of the run's tail block c - e_j in row run k and column run j of
+        slice i (:func:`_add_rules`), for every nonzero of T in the order of
+        ``np.nonzero(T)``.  The blocks are the tower's own (``labels``): by
+        letter content when T is graded (then row run k of block c - e_i holds
+        exactly the rows of slice l of block c - e_j), and otherwise the whole
+        sector, whose slices are the dense levels.
+        """
         heads, sizes = self.level(m)[:2]
         for runs, size in zip(heads, sizes):  # refused before the recursion builds anything
             for _, lo, hi in runs.values():
@@ -335,8 +355,9 @@ class _Tower:
             tails = self.level(m - 1)[0]
             prev = self.slices(m - 1)
             rules = self.species[-1][1]
-        out = []
-        for runs, size in zip(heads, sizes):
+
+        def step(c: int) -> tuple[np.ndarray | None, ...]:
+            runs, size = heads[c], sizes[c]
             slices = [None] * self.n_species
             for i0, (_, lo, hi) in runs.items():
                 slices[i0] = np.zeros((hi - lo, size), dtype=self.dtype)
@@ -347,11 +368,18 @@ class _Tower:
             for mat in slices:
                 if mat is not None:
                     mat.setflags(write=False)
-            out.append(tuple(slices))
-        return _cache_put(m, tuple(out), self._slices)
+            return tuple(slices)
+
+        return step
 
     def gram(self, n: int) -> GramMatrix:
-        """The Gram matrix of sector n (:func:`gram_matrix`), its blocks built from sector n-1's."""
+        """The Gram matrix of sector n (:func:`gram_matrix`), its blocks built from sector n-1's.
+
+        Each block reads its own slices of sector n, the kept ones if
+        :meth:`slices` has built them, and otherwise one step of the recursion
+        that is dropped once the block is written; so a Gram keeps the slices
+        of the degrees below n and none of sector n.
+        """
         found = self._grams.get(n)
         if found is not None:
             return found
@@ -361,17 +389,27 @@ class _Tower:
         else:
             for size in sizes:  # refused before the recursion builds anything
                 _check_entries(size, size, "Gram block")
+            kept = self._slices.get(n)
+            step = kept.__getitem__ if kept is not None else self._slice_step(n)
             prev = self.gram(n - 1).blocks
-            blocks = []
-            for runs, size, slices in zip(heads, sizes, self.slices(n)):
-                block = np.empty((size, size), dtype=self.dtype)
-                for i0, (p, lo, hi) in runs.items():  # row run i0 is G_{n-1}[p] @ A_i[p, c]
-                    np.matmul(prev[p], slices[i0], out=block[lo:hi])
-                blocks.append(block)
+            blocks = tuple(_gram_block(prev, runs, size, step(c), self.dtype)
+                           for c, (runs, size) in enumerate(zip(heads, sizes)))
         for block in blocks:
             block.setflags(write=False)
-        gram = GramMatrix(n=n, words=self.words(n), blocks=tuple(blocks))
+        gram = GramMatrix(n=n, labels=self.labels, blocks=blocks)
         return _cache_put(n, gram, self._grams)
+
+
+def _gram_block(prev: tuple, runs: dict, size: int, slices: tuple, dtype) -> np.ndarray:
+    """Gram block c of sector n, written run by run into one preallocated array.
+
+    Row run i0 is ``G_{n-1}[p] @ A_i[p, c]`` for the head ``runs`` of c, the
+    blocks ``prev`` of sector n-1 and the ``slices`` of c.
+    """
+    block = np.empty((size, size), dtype=dtype)
+    for i0, (p, lo, hi) in runs.items():
+        np.matmul(prev[p], slices[i0], out=block[lo:hi])
+    return block
 
 
 def _tower(system: StatisticsSystem) -> _Tower:
@@ -510,7 +548,7 @@ def quotient_gram(system: StatisticsSystem, n: int,
     split = _ideal_split(system, n, resolve_eps(eps))
     blocks = tuple(dagger(comp) @ block @ comp for (_, comp), block
                    in zip(split, gram_matrix(_weight_form(system)[1], n).blocks))
-    return GramMatrix(n=n, words=_column_ranges(blocks), blocks=blocks)
+    return GramMatrix(n=n, labels=None, blocks=blocks)
 
 
 def _content_heads(labels: tuple[int, ...], prev: tuple | None) -> tuple:

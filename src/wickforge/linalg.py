@@ -70,14 +70,17 @@ def hermitian_spectrum(
 
     Raises :class:`NotHermitian` (see :func:`check_hermitian`, which takes
     ``scale``) unless ``a`` is Hermitian to within the relative tolerance;
-    otherwise diagonalizes the Hermitian part ``(a + dagger(a)) / 2``.
+    otherwise diagonalizes the Hermitian part ``(a + dagger(a)) / 2``, formed
+    in one array.
     """
     eps = resolve_eps(eps)
     m = as_matrix(a)
     check_hermitian(m, eps, scale)
     if m.shape[0] == 0:
         return np.zeros(0)
-    return np.linalg.eigvalsh((m + dagger(m)) / 2)
+    part = _with_dagger(m, np.add)
+    part /= 2
+    return np.linalg.eigvalsh(part)
 
 
 def check_hermitian(
@@ -90,17 +93,35 @@ def check_hermitian(
     as the rank cutoff, so that matrices whose entries grow large (Gram
     matrices grow like n!) are judged by their rounding, not by their scale.
     A diagonal block of a larger matrix passes that matrix's ``max|a|`` as
-    ``scale``, to be judged at the tolerance of the whole.
+    ``scale``, to be judged at the tolerance of the whole.  The residual and
+    both magnitudes are formed in one array of the size of ``a``.
     """
     eps = resolve_eps(eps)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is not square: shape {a.shape}")
-    residual = max_abs(a - dagger(a))
-    tol = eps * max(1.0, max_abs(a) if scale is None else scale)
+    m = _in_field(a)
+    scratch = _with_dagger(m, np.subtract)
+    residual = _max_abs_into(scratch, scratch)
+    tol = eps * max(1.0, _max_abs_into(m, scratch) if scale is None else scale)
     if residual > tol:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {residual:.3e} (tolerance {tol:.3e})"
         )
+
+
+def _with_dagger(m: np.ndarray, op) -> np.ndarray:
+    """``op(m, dagger(m))`` in one new array: ``dagger(m)`` written into it, then ``op`` in place."""
+    out = np.empty(m.shape, dtype=m.dtype)
+    np.conjugate(m.T, out=out)
+    return op(m, out, out=out)
+
+
+def _max_abs_into(a: np.ndarray, scratch: np.ndarray) -> float:
+    """:func:`max_abs` of ``a``, its magnitudes written into ``scratch`` (its shape, a wider field)."""
+    if a.size == 0:
+        return 0.0
+    np.abs(a, out=scratch)
+    return float(np.max(scratch.real))
 
 
 def operator_norm(a: np.ndarray) -> float:

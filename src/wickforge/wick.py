@@ -19,10 +19,10 @@ Grammar::
     sign    := '+' | '-'
     number  := (digits ('.' digits?)? | '.' digits) (('e' | 'E') sign? digits)?
 
-Whitespace between tokens is optional and ignored; a generator such as
-``c(12)`` is one token.  A bare number is a coefficient only when a factor
-follows it, and the literal ``1`` is the only unit factor (``1.0`` is
-rejected).
+Digits are the ASCII ``0``-``9``.  Whitespace between tokens is optional
+and ignored; a generator such as ``c(12)`` is one token.  A bare number is
+a coefficient only when a factor follows it, and the literal ``1`` is the
+only unit factor (``1.0`` is rejected).
 """
 
 from __future__ import annotations
@@ -221,8 +221,8 @@ def format_expression(expr: OperatorExpression) -> str:
 
 _TOKEN_RE = re.compile(
     r"\s+"
-    r"|(?P<gen>([ca])\((\d+)\))"
-    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<gen>([ca])\(([0-9]+)\))"
+    r"|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<lparen>\()"
     r"|(?P<rparen>\))"
     r"|(?P<comma>,)"
@@ -300,7 +300,8 @@ def parse_expression(text: str, n_species: int) -> OperatorExpression:
         if i == first:
             raise ExpressionSyntaxError("term has no factors", tokens[i][2])
         word = tuple(letters)
-        terms[word] = terms.get(word, 0.0) + coeff * sign
+        # The sign scales each part alone: an infinite part times a zero one is no NaN.
+        terms[word] = terms.get(word, 0.0) + complex(sign * coeff.real, sign * coeff.imag)
         starts.setdefault(word, start)
         if tokens[i][0] is None:
             break

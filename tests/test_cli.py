@@ -340,6 +340,27 @@ class TestCommands:
         assert code == 0
         assert out.splitlines()[0] == "1 + 0.5 c(1) a(1)"
 
+    @pytest.mark.parametrize("glued, spaced", [("-c(1)", "- c(1)"), ("-2c(1)", "-2 c(1)")])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_normal_order_reads_leading_minus_glued_to_its_term(self, capsys, glued, spaced,
+                                                                json_flag):
+        # argparse alone would read the glued text as an option and exit 2
+        tail = ["--preset", "boson", "--dim", "2", *json_flag]
+        want = run(capsys, ["normal-order", spaced, *tail])
+        assert want[0] == 0 and want[2] == ""
+        assert run(capsys, ["normal-order", glued, *tail]) == want
+        if json_flag:
+            assert json.loads(want[1])["input"] == spaced
+
+    def test_normal_order_help_and_missing_expression(self, capsys):
+        code, out, err = run(capsys, ["normal-order", "-h"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: wickforge normal-order [-h]")
+        code, out, err = run(capsys, ["normal-order", "--preset", "boson", "--dim", "2"])
+        assert code == 2 and out == ""
+        assert err.endswith("wickforge normal-order: error: the following arguments are "
+                            "required: expr\n")
+
     def test_normal_order_keeps_small_true_term(self, capsys):
         # The c^3 a^3 coefficient is q^9 = 9.1e-10, below the default eps but
         # reached without cancellation, so it stays and --verify passes.
@@ -718,8 +739,8 @@ class TestMalformedExpressions:
             if code == 0:
                 assert out.count("\n") == 1 and err == "", (trial, text, err)
                 continue
-            # argparse reads a text such as "-c(1)" as an option, and prints
-            # its usage lines before its one error line.
+            # argparse reads a text such as "-(" or "-a" as an option, and
+            # prints its usage lines before its one error line.
             lines = err.splitlines()
             assert code == 2 and out == "", (trial, text, code, out)
             assert [line for line in lines if "error: " in line] == lines[-1:], (trial, text, err)

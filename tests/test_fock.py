@@ -1,6 +1,7 @@
 import ast
 import inspect
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -174,8 +175,7 @@ class TestEntryCap:
             sector_spectrum(boson2, 16)
         # the dense scatter of a blockwise Gram and the quotient projector of
         # sector 14 (no columns, so that only the dense result is large)
-        halves = np.split(np.arange(16384), 2)
-        gram = fock.GramMatrix(n=14, words=halves, blocks=(np.zeros((8192, 0)),) * 2)
+        gram = fock.GramMatrix(n=14, labels=None, blocks=(np.zeros((8192, 0)),) * 2)
         with pytest.raises(SizeLimit, match="dense Gram matrix of 16384 x 16384"):
             gram.mat
         with pytest.raises(SizeLimit, match="quotient projector of 16384 x 16384"):
@@ -888,7 +888,8 @@ class TestGramMemory:
                 assert np.array_equal(got, level_route_spectrum(system, degree)), system.label
 
     def test_session_caches_one_slice_set_per_degree(self, fresh_cache):
-        # gram, quotient, a dense level and an evaluation all read the content slices
+        # gram, quotient, a dense level and an evaluation all read the content
+        # slices; sector 4's are read only by its Gram, which keeps none of them
         system = make_preset("phase", 3, phi=phase_phi(3, np.pi / 3))
         sector_spectrum(system, 4)
         for n in range(4):
@@ -899,9 +900,51 @@ class TestGramMemory:
         wick.evaluation_blocks(wick.parse_expression("a(1) a(2) c(2) c(3)", 3), system, 2)
         built = {(key, m): slices for key, tower in fock._CACHE.items()
                  for m, slices in tower._slices.items()}
-        assert sorted(built) == [(system.content_key, m) for m in range(1, 5)]
+        assert sorted(built) == [(system.content_key, m) for m in range(1, 4)]
         for (_, m), slices in built.items():
             assert len(slices) == len(content_blocks(3, m))
+
+    @pytest.mark.parametrize("n_species,degree", [(2, 6), (3, 4)])
+    def test_gram_keeps_no_slices_of_its_sector(self, fresh_cache, n_species, degree):
+        rng = np.random.default_rng(59)
+        for base in graded_systems(n_species) + [multi_q(n_species, rng)]:
+            for system in (base, haar_rotated(base, rng)):
+                fock.clear_cache()
+                built = gram_matrix(system, degree).blocks
+                tower = fock._tower(system)
+                assert sorted(tower._slices) == list(range(1, degree)), system.label
+                later = tower.slices(degree)
+                fock.clear_cache()
+                fresh = fock._tower(system).slices(degree)  # kept, so the Gram reads them
+                assert len(later) == len(fresh)
+                for got, want in zip(later, fresh):
+                    assert all(map(same_bytes, got, want)), system.label
+                kept = gram_matrix(system, degree).blocks
+                assert len(built) == len(kept)
+                assert all(map(same_bytes, built, kept)), system.label
+
+    def test_traced_peak_of_the_largest_benchmark_gram(self, fresh_cache):
+        # multi-q at N = 2, sector 10: the Gram traced 3.90 MiB and its spectrum
+        # 4.87 MiB while the Gram kept sector 10's slices and the Hermitian
+        # check and part took a temporary each; now 2.68 and 3.01 MiB
+        system = multi_q(2, np.random.default_rng(61))
+        gram_matrix(system, 3)  # the code paths warm
+        fock.clear_cache()
+        peaks = []
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            for step in (lambda: gram_matrix(system, 10), lambda: sector_spectrum(system, 10)):
+                fock.clear_cache()
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                step()
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peaks[0] < 3.0 and peaks[1] < 3.3, peaks
 
 
 def rotated_twins(n_species: int, rng: np.random.Generator):

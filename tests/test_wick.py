@@ -121,13 +121,16 @@ class TestParser:
         ("(1,2)", ExpressionSyntaxError, "term has no factors", 5),
         ("- - c(1)", ExpressionSyntaxError, "term has no factors", 2),
         ("1e400 c(1)", ExpressionSyntaxError,
-         "coefficient (inf+nanj) of c(1) is not finite", 0),
+         "coefficient (inf+0j) of c(1) is not finite", 0),
         ("1e308 c(1) + 1e308 c(1)", ExpressionSyntaxError,
          "coefficient (inf+0j) of c(1) is not finite", 0),
         ("a(1) c(3)", SpeciesOutOfRange, "species 3 out of range 1..2", None),
         ("c(0)", SpeciesOutOfRange, "species 0 out of range 1..2", None),
         # Every character is read before any term: the stray one wins.
         ("c(3) @", ExpressionSyntaxError, "unexpected character '@'", 5),
+        # Digits are ASCII: a generator index in another script is no generator.
+        ("c(\u0663)", ExpressionSyntaxError, "unexpected character 'c'", 0),
+        ("\u0663 c(1)", ExpressionSyntaxError, "unexpected character '\u0663'", 0),
         # A generator is checked when read, before the factor after it.
         ("c(3) (", SpeciesOutOfRange, "species 3 out of range 1..2", None),
     ])
